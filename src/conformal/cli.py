@@ -17,7 +17,7 @@ import numpy as np
 from .cp import ConformalClassifier, CpConfig, label_taxonomy
 from .data import Bag, SeededRng, SplitSpec, load_csv, split
 from .icp import IcpConfig, InductiveConformalClassifier
-from .meta import ABSTAIN, CombinedClassifier, conformal_meta_hooks
+from .meta import CombinedClassifier, conformal_meta_hooks
 from .metrics import IntervalReport, ValidityReport, check_epsilons
 from .ncm import (
     CartConfig,
@@ -405,7 +405,6 @@ def _run_meta(args) -> dict:
                                   stratified=args.stratified)
     combined.train(train_bag, args.k_folds, emit_roc=args.emit_roc)
     cm, rates = combined.score(test_bag)
-    decisions = combined.predict(test_bag.x)
     return {
         "command": "meta",
         "config": {
@@ -427,7 +426,7 @@ def _run_meta(args) -> dict:
             "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp,
                           "fn": cm.fn, "rp": cm.rp, "rn": cm.rn},
             "metrics": rates,
-            "abstained": sum(d is ABSTAIN for d in decisions),
+            "abstained": cm.rp + cm.rn,
             "trials": len(test_bag),
         },
     }

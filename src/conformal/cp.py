@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Bag, Label, SeededRng
+from .data import Bag, Label, SeededRng, check_labels_known, check_observations
 from .metrics import EpsilonStats, ValidityReport, check_epsilons, validity_report
 from .ncm import NonconformityMeasure
 
@@ -109,6 +109,72 @@ def p_value_from_counts(
     return (gt + tau * (eq + extra)) / (total + 1)
 
 
+def category_p_values(
+    store: Mapping[Hashable, np.ndarray],
+    taxonomy: Taxonomy | None,
+    X: np.ndarray,
+    labels: Sequence[Label],
+    alpha: np.ndarray,
+    taus: np.ndarray | None = None,
+    include_test: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """p-values of every (row, label) pair plus flags of empty categories.
+
+    The taxonomy is called once per pair, row-major; the pairs are grouped
+    by category and counted against that category's sorted ``store`` entry
+    by binary search, with the formula of :func:`p_value_from_counts`.  A
+    category missing from the store counts as holding no scores.
+    """
+    m, n_labels = alpha.shape
+    if taxonomy is None:
+        groups = {_SINGLE_CATEGORY: slice(None)}
+    else:
+        groups: dict[Hashable, list[int]] = {}
+        for i, x in enumerate(X):
+            for j, y in enumerate(labels):
+                groups.setdefault(taxonomy(x, y), []).append(i * n_labels + j)
+    alpha = alpha.ravel()
+    taus = None if taus is None else taus.ravel()
+    extra = 1 if include_test else 0
+    vals = np.empty(m * n_labels)
+    empty = np.zeros(m * n_labels, dtype=bool)
+    for cat, pairs in groups.items():
+        stored = store.get(cat, _NO_SCORES)
+        total = len(stored)
+        a = alpha[pairs]
+        gt = total - np.searchsorted(stored, a, side="right")
+        eq = total - np.searchsorted(stored, a, side="left") - gt
+        if taus is None:
+            vals[pairs] = (gt + eq + extra) / (total + 1)
+        else:
+            vals[pairs] = (gt + taus[pairs] * (eq + extra)) / (total + 1)
+        empty[pairs] = total == 0
+    return vals.reshape(m, n_labels), empty.reshape(m, n_labels)
+
+
+def _score_matrix(measure: NonconformityMeasure, X: np.ndarray, labels: Sequence[Label]) -> np.ndarray:
+    """The measure's (rows, labels) score matrix, shape-checked."""
+    alpha = np.asarray(measure.score_matrix(X, labels), dtype=float)
+    if alpha.shape != (X.shape[0], len(labels)):
+        raise ValueError(f"measure returned {alpha.shape}, expected {(X.shape[0], len(labels))}")
+    return alpha
+
+
+def _draw_taus(smoothed: bool, rows: int, cols: int, rng: SeededRng | None) -> np.ndarray | None:
+    """Tie-breaking draws for smoothed p-values, one per pair, row-major."""
+    if not smoothed:
+        return None
+    if rng is None:
+        raise ValueError("smoothed p-values need a SeededRng")
+    return rng.uniform(rows * cols).reshape(rows, cols)
+
+
+def _require_trained(bag: Bag | None) -> Bag:
+    if bag is None:
+        raise ValueError("classifier is not trained")
+    return bag
+
+
 def sets_from_p_values(table: PValueTable, epsilons: Sequence[float]) -> list[PredictionSet]:
     """Label sets per level: include a label when its p-value exceeds epsilon."""
     out = []
@@ -182,10 +248,10 @@ class ConformalClassifier:
         With smoothing, one tie-breaking draw is taken per pair, row-major in
         label-space order, from the caller's stream.
         """
-        bag = self._require_trained()
-        X = _as_matrix(X, bag.n_features)
+        bag = _require_trained(self._bag)
+        X = check_observations(X, bag.n_features)
         labels = bag.label_space
-        taus = self._draw_taus(X.shape[0], len(labels), rng)
+        taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
         if self.config.mode == "transductive-exact":
             rows = [
                 self._exact_row(x, None if taus is None else taus[i])
@@ -193,20 +259,12 @@ class ConformalClassifier:
             ]
             vals = np.vstack(rows) if rows else np.empty((0, len(labels)))
             return PValueTable(vals, labels)
-        vals = np.empty((X.shape[0], len(labels)))
-        taxonomy = self.config.taxonomy
-        for i, x in enumerate(X):
-            if len(bag) == 0:
-                # every category is empty; the candidate only ties with itself
-                alpha = np.zeros(len(labels))
-            else:
-                alpha = np.asarray(self.measure.score(x, labels), dtype=float)
-            for j, y in enumerate(labels):
-                cat = taxonomy(x, y) if taxonomy is not None else _SINGLE_CATEGORY
-                stored = self._by_category.get(cat, _NO_SCORES)
-                gt, eq = sorted_score_counts(stored, alpha[j])
-                tau = None if taus is None else taus[i, j]
-                vals[i, j] = p_value_from_counts(gt, eq, len(stored), tau)
+        if len(bag) == 0:
+            # every category is empty; the candidate only ties with itself
+            alpha = np.zeros((X.shape[0], len(labels)))
+        else:
+            alpha = _score_matrix(self.measure, X, labels)
+        vals, _ = category_p_values(self._by_category, self.config.taxonomy, X, labels, alpha, taus)
         return PValueTable(vals, labels)
 
     def predict(self, X, rng: SeededRng | None = None) -> list[PredictionSet]:
@@ -220,19 +278,19 @@ class ConformalClassifier:
 
     def predict_transductive_exact(self, x, rng: SeededRng | None = None) -> PredictionSet:
         """Exact prediction set for one observation, re-scoring the augmented bag."""
-        bag = self._require_trained()
-        x = np.asarray(x, dtype=float)
-        taus = self._draw_taus(1, len(bag.label_space), rng)
+        bag = _require_trained(self._bag)
+        x = check_observations(np.asarray(x, dtype=float)[None, :], bag.n_features)[0]
+        taus = _draw_taus(self.config.smoothed, 1, len(bag.label_space), rng)
         row = self._exact_row(x, None if taus is None else taus[0])
         table = PValueTable(row[None, :], bag.label_space)
         return sets_from_p_values(table, self.config.epsilons)[0]
 
     def score(self, test: Bag, rng: SeededRng | None = None) -> ValidityReport:
         """Validity and efficiency of batch predictions on a test bag."""
-        bag = self._require_trained()
+        bag = _require_trained(self._bag)
         if len(test) == 0:
             raise ValueError("empty test bag")
-        _check_labels_known(test, bag.label_space)
+        check_labels_known(test, bag.label_space)
         sets = self.predict(test.x, rng)
         return validity_report(sets, test.y, self.config.epsilons)
 
@@ -241,16 +299,18 @@ class ConformalClassifier:
 
         Retrains from scratch after every element.  Returns the cumulative
         report; with ``return_p_values`` also the p-value the true label had
-        at prediction time, one entry per step.
+        at prediction time, one entry per step.  The whole stream is checked
+        before the first element is absorbed, so a bad element leaves the
+        bag unchanged.
         """
-        self._require_trained()
+        bag = _require_trained(self._bag)
+        check_observations(stream.x, bag.n_features)
+        check_labels_known(stream, bag.label_space, "stream")
         sets: list[PredictionSet] = []
         true_p: list[float] = []
         for i in range(len(stream)):
             x, y = stream.x[i], stream.y[i]
             table = self.p_values(x[None, :], rng)
-            if y not in table.labels:
-                raise ValueError(f"stream label {y!r} is outside the label space")
             sets.append(sets_from_p_values(table, self.config.epsilons)[0])
             true_p.append(float(table.values[0, table.labels.index(y)]))
             self.train(Bag.classification(x[None, :], (y,), self._bag.label_space))
@@ -292,18 +352,6 @@ class ConformalClassifier:
                 out[j] = (gt + taus_row[j] * eq) / total
         return out
 
-    def _draw_taus(self, rows: int, cols: int, rng: SeededRng | None) -> np.ndarray | None:
-        if not self.config.smoothed:
-            return None
-        if rng is None:
-            raise ValueError("smoothed p-values need a SeededRng")
-        return rng.uniform(rows * cols).reshape(rows, cols)
-
-    def _require_trained(self) -> Bag:
-        if self._bag is None:
-            raise ValueError("classifier is not trained")
-        return self._bag
-
 
 def _partition_scores(
     scores: np.ndarray, bag: Bag, taxonomy: Taxonomy | None
@@ -315,16 +363,3 @@ def _partition_scores(
         groups.setdefault(taxonomy(x, y), []).append(s)
     return {cat: np.sort(np.asarray(vals)) for cat, vals in groups.items()}
 
-
-def _as_matrix(X, n_features: int) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(f"observations must form a matrix with {n_features} columns")
-    return X
-
-
-def _check_labels_known(test: Bag, label_space: tuple[Label, ...]) -> None:
-    known = set(label_space)
-    for lbl in test.y:
-        if lbl not in known:
-            raise ValueError(f"test label {lbl!r} is outside the label space")

@@ -123,6 +123,24 @@ class Bag:
         return Bag(np.vstack([self.x, other.x]), self.y + other.y, space)
 
 
+def check_observations(X, n_features: int) -> np.ndarray:
+    """Test observations as a float matrix with ``n_features`` finite columns."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"observations must form a matrix with {n_features} columns")
+    if not np.isfinite(X).all():
+        raise ValueError("all feature entries must be finite reals")
+    return X
+
+
+def check_labels_known(bag: Bag, label_space: Sequence[Label], what: str = "test") -> None:
+    """Raise unless every label of ``bag`` is in ``label_space``."""
+    known = set(label_space)
+    for lbl in bag.y:
+        if lbl not in known:
+            raise ValueError(f"{what} label {lbl!r} is outside the label space")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Seeded shuffle split: the first part gets ``ceil(n * train_fraction)`` examples."""

@@ -20,14 +20,14 @@ from .cp import (
     PredictionSet,
     Taxonomy,
     _SINGLE_CATEGORY,
-    _as_matrix,
-    _check_labels_known,
+    _draw_taus,
+    _require_trained,
+    _score_matrix,
     best_from_p_values,
-    p_value_from_counts,
+    category_p_values,
     sets_from_p_values,
-    sorted_score_counts,
 )
-from .data import Bag, SeededRng
+from .data import Bag, SeededRng, check_labels_known, check_observations
 from .metrics import ValidityReport, check_epsilons, validity_report
 from .ncm import NonconformityMeasure
 
@@ -82,8 +82,8 @@ class InductiveConformalClassifier:
 
     def calibrate(self, calibration: Bag, override: bool = False) -> "InductiveConformalClassifier":
         """Score a calibration bag and merge the scores into the sorted store."""
-        bag = self._require_trained()
-        _check_labels_known(calibration, bag.label_space)
+        bag = _require_trained(self._bag)
+        check_labels_known(calibration, bag.label_space)
         scores = np.asarray(self.measure.scores(calibration, False), dtype=float)
         if scores.shape != (len(calibration),):
             raise ValueError(f"measure returned {scores.shape}, expected ({len(calibration)},)")
@@ -108,26 +108,16 @@ class InductiveConformalClassifier:
         p = 1 and is flagged in ``empty_category``: it is vacuously
         conforming to an empty reference class.
         """
-        bag = self._require_trained()
-        X = _as_matrix(X, bag.n_features)
+        bag = _require_trained(self._bag)
+        X = check_observations(X, bag.n_features)
         labels = bag.label_space
-        taus = self._draw_taus(X.shape[0], len(labels), rng)
-        taxonomy = self.config.taxonomy
-        include = self.config.include_test_in_count
-        vals = np.empty((X.shape[0], len(labels)))
-        flags = np.zeros((X.shape[0], len(labels)), dtype=bool)
-        for i, x in enumerate(X):
-            alpha = np.asarray(self.measure.score(x, labels), dtype=float)
-            for j, y in enumerate(labels):
-                cat = taxonomy(x, y) if taxonomy is not None else _SINGLE_CATEGORY
-                stored = self._calibration.get(cat)
-                if stored is None or len(stored) == 0:
-                    vals[i, j] = 1.0
-                    flags[i, j] = True
-                    continue
-                gt, eq = sorted_score_counts(stored, alpha[j])
-                tau = None if taus is None else taus[i, j]
-                vals[i, j] = p_value_from_counts(gt, eq, len(stored), tau, include_test=include)
+        taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
+        alpha = _score_matrix(self.measure, X, labels)
+        vals, flags = category_p_values(
+            self._calibration, self.config.taxonomy, X, labels, alpha, taus,
+            include_test=self.config.include_test_in_count,
+        )
+        vals[flags] = 1.0
         return PValueTable(vals, labels, empty_category=flags)
 
     def predict(self, X, rng: SeededRng | None = None) -> list[PredictionSet]:
@@ -141,23 +131,9 @@ class InductiveConformalClassifier:
 
     def score(self, test: Bag, rng: SeededRng | None = None) -> ValidityReport:
         """Validity and efficiency of batch predictions on a test bag."""
-        bag = self._require_trained()
+        bag = _require_trained(self._bag)
         if len(test) == 0:
             raise ValueError("empty test bag")
-        _check_labels_known(test, bag.label_space)
+        check_labels_known(test, bag.label_space)
         sets = self.predict(test.x, rng)
         return validity_report(sets, test.y, self.config.epsilons)
-
-    # -- internals ---------------------------------------------------------
-
-    def _draw_taus(self, rows: int, cols: int, rng: SeededRng | None) -> np.ndarray | None:
-        if not self.config.smoothed:
-            return None
-        if rng is None:
-            raise ValueError("smoothed p-values need a SeededRng")
-        return rng.uniform(rows * cols).reshape(rows, cols)
-
-    def _require_trained(self) -> Bag:
-        if self._bag is None:
-            raise ValueError("classifier is not trained")
-        return self._bag

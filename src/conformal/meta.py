@@ -332,26 +332,20 @@ class CombinedClassifier:
 
     def predict(self, X) -> list:
         """Base label per row when its ratio strictly exceeds the threshold, else ABSTAIN."""
-        self._require_trained()
-        X = np.asarray(X, dtype=float)
-        base = list(self.hooks.b_predict(X))
-        out = []
-        for label, ratio in zip(base, self._ratios(X)):
-            out.append(label if ratio > self.threshold.t else ABSTAIN)
-        return out
+        return self._decide(X)[1]
 
     def score(self, test: Bag) -> tuple[ConfusionMatrix, dict]:
         """Abstention-aware confusion counts and derived rates on a test bag.
 
         The meta decision is the prediction: accepted examples count as
         predicted-positive (TP when the base label is right, FP when wrong)
-        and rejections split by the true meta class.
+        and rejections split by the true meta class, so ``rp + rn`` is the
+        number of abstentions.
         """
         self._require_trained()
         if len(test) == 0:
             raise ValueError("empty test bag")
-        decisions = self.predict(test.x)
-        base = list(self.hooks.b_predict(test.x))
+        base, decisions = self._decide(test.x)
         tp = fp = rp = rn = 0
         for decision, label, truth in zip(decisions, base, test.y):
             correct = label == truth
@@ -363,6 +357,17 @@ class CombinedClassifier:
                 fp += not correct
         cm = ConfusionMatrix(tp=tp, fp=fp, rp=rp, rn=rn)
         return cm, confusion_metrics(cm)
+
+    def _decide(self, X) -> tuple[list, list]:
+        """Base labels and decisions (base label or ABSTAIN), one pass each."""
+        self._require_trained()
+        X = np.asarray(X, dtype=float)
+        base = list(self.hooks.b_predict(X))
+        decisions = [
+            label if ratio > self.threshold.t else ABSTAIN
+            for label, ratio in zip(base, self._ratios(X))
+        ]
+        return base, decisions
 
     def _ratios(self, X: np.ndarray) -> np.ndarray:
         pvals = np.asarray(self.hooks.m_predict_pvals(X), dtype=float)

@@ -27,7 +27,8 @@ class NonconformityMeasure(ABC):
     flag says whether that bag is the one passed to ``train``, which lets a
     measure exclude each example from its own reference set.  ``score``
     evaluates one observation against every candidate label, in label-space
-    order.  A trained measure is immutable; only ``train`` mutates it.
+    order, and ``score_matrix`` does the same for a batch of observations.
+    A trained measure is immutable; only ``train`` mutates it.
     """
 
     @abstractmethod
@@ -41,6 +42,17 @@ class NonconformityMeasure(ABC):
     @abstractmethod
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
         """One finite score per candidate label for a new observation."""
+
+    def score_matrix(self, X: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
+        """Scores of every (observation, candidate label) pair, shape (m, L).
+
+        Row i equals ``score(X[i], label_space)``.  This default loops over
+        ``score``; a measure overrides it to score a whole batch at once.
+        """
+        out = np.empty((len(X), len(label_space)))
+        for i, x in enumerate(X):
+            out[i] = self.score(x, label_space)
+        return out
 
 
 class RegressionCoefficientProvider(ABC):
@@ -59,17 +71,33 @@ class RegressionCoefficientProvider(ABC):
         """Coefficients (a, b) for a new observation."""
 
 
+#: Most entries of one query-by-bag distance block (512 KiB of floats, about
+#: one core's L2 cache); batches are processed in row chunks under this
+#: bound, so scratch memory does not grow with the batch size.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_chunks(m: int, n: int):
+    """Slices cutting ``m`` query rows into chunks of at most ``_BLOCK_ENTRIES``
+    distances to ``n`` bag rows (at least one row per chunk)."""
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [slice(lo, lo + step) for lo in range(0, m, step)]
+
+
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, accumulated per feature so coincident rows
-    give exactly 0 (no cancellation tricks)."""
+    give exactly 0 (no cancellation tricks).  The scratch buffer covers one
+    row chunk, so the only full-size allocation is the result."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.zeros((a.shape[0], b.shape[0]))
-    tmp = np.empty_like(out)
-    for j in range(a.shape[1]):
-        np.subtract(a[:, j][:, None], b[:, j][None, :], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(out, tmp, out=out)
+    for rows in _row_chunks(a.shape[0], b.shape[0]):
+        block = out[rows]
+        tmp = np.empty_like(block)
+        for j in range(a.shape[1]):
+            np.subtract(a[rows, j][:, None], b[:, j][None, :], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(block, tmp, out=block)
     return out
 
 
@@ -78,17 +106,20 @@ def _pairwise_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(_pairwise_sq_dists(a, b))
 
 
-def _k_smallest_dist_sums(sq: np.ndarray, k: int) -> np.ndarray:
+def _k_smallest_dist_sums(sq: np.ndarray, k: int, order: str = "K") -> np.ndarray:
     """Row-wise sum of the k smallest distances, given squared distances.
 
     sqrt is monotone, so partitioning the squares selects the same k
-    neighbours; the root is only taken for the selected entries.
+    neighbours; the root is only taken for the selected entries.  ``order``
+    is the memory layout of the roots, which decides the order in which
+    numpy adds them up: with "C" each row is summed on its own, so a row's
+    result does not depend on the other rows of the block.
     """
     if k == 1:
         return np.sqrt(sq.min(axis=1))
     if sq.shape[1] > k:
         sq = np.partition(sq, k - 1, axis=1)[:, :k]
-    return np.sqrt(sq).sum(axis=1)
+    return np.sqrt(sq, order=order).sum(axis=1)
 
 
 def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -167,28 +198,51 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     return out
 
 
+def _label_codes(y: Sequence[Label]) -> tuple[np.ndarray, dict]:
+    """Integer code per label (codes follow first appearance) and the code map."""
+    code_of = {lbl: i for i, lbl in enumerate(dict.fromkeys(y))}
+    return np.fromiter((code_of[v] for v in y), dtype=int, count=len(y)), code_of
+
+
+def _same_label_masks(
+    k: int, codes: np.ndarray, code_of: dict, label_space: Sequence[Label]
+) -> list[np.ndarray]:
+    """Per candidate label, which bag examples share it; checks both groups hold k."""
+    masks = []
+    for lbl in label_space:
+        same = codes == code_of.get(lbl, -1)
+        n_same = int(same.sum())
+        n_other = len(codes) - n_same
+        if n_same < k:
+            raise ValueError(f"label {lbl!r}: {n_same} same-label neighbour(s) available, need k={k}")
+        if n_other < k:
+            raise ValueError(f"label {lbl!r}: {n_other} other-label neighbour(s) available, need k={k}")
+        masks.append(same)
+    return masks
+
+
+def _knn_block_scores(k: int, bag_x: np.ndarray, masks: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Scores of every (row of X, candidate label) pair from one distance block
+    per row chunk; ``masks[j]`` selects the bag examples labelled like candidate j."""
+    out = np.empty((X.shape[0], len(masks)))
+    others = [~same for same in masks]
+    for rows in _row_chunks(X.shape[0], bag_x.shape[0]):
+        sq = _pairwise_sq_dists(X[rows], bag_x)
+        for j, (same, other) in enumerate(zip(masks, others)):
+            num = _k_smallest_dist_sums(sq[:, same], k, order="C")
+            den = _k_smallest_dist_sums(sq[:, other], k, order="C")
+            out[rows, j] = _ratio_scores(num, den)
+    return out
+
+
 def knn_score_per_label(
     cfg: KnnConfig, training: Bag, x: np.ndarray, label_space: Sequence[Label]
 ) -> np.ndarray:
     """Scores for a new observation paired with each candidate label in order."""
     if len(training) == 0:
         raise ValueError("empty training bag")
-    k = cfg.k
-    sq = _pairwise_sq_dists(np.asarray(x, dtype=float)[None, :], training.x)
-    tr_labels = np.array(training.y, dtype=object)
-    out = np.empty(len(label_space))
-    for j, lbl in enumerate(label_space):
-        same = tr_labels == lbl
-        n_same = int(same.sum())
-        n_other = int((~same).sum())
-        if n_same < k:
-            raise ValueError(f"label {lbl!r}: {n_same} same-label neighbour(s) available, need k={k}")
-        if n_other < k:
-            raise ValueError(f"label {lbl!r}: {n_other} other-label neighbour(s) available, need k={k}")
-        num = _k_smallest_dist_sums(sq[:, same], k)
-        den = _k_smallest_dist_sums(sq[:, ~same], k)
-        out[j] = _ratio_scores(num, den)[0]
-    return out
+    masks = _same_label_masks(cfg.k, *_label_codes(training.y), label_space)
+    return _knn_block_scores(cfg.k, training.x, masks, np.asarray(x, dtype=float)[None, :])[0]
 
 
 class KnnClassifierMeasure(NonconformityMeasure):
@@ -197,17 +251,26 @@ class KnnClassifierMeasure(NonconformityMeasure):
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
         self._bag: Bag | None = None
+        self._codes: np.ndarray | None = None
+        self._code_of: dict = {}
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
+        self._codes, self._code_of = _label_codes(bag.y)
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
         self._require_trained()
         return knn_scores(self.config, self._bag, bag, is_training_bag)
 
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
+        return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
+
+    def score_matrix(self, X: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
         self._require_trained()
-        return knn_score_per_label(self.config, self._bag, x, label_space)
+        if len(self._bag) == 0:
+            raise ValueError("empty training bag")
+        masks = _same_label_masks(self.config.k, self._codes, self._code_of, label_space)
+        return _knn_block_scores(self.config.k, self._bag.x, masks, np.asarray(X, dtype=float))
 
     def _require_trained(self):
         if self._bag is None:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Bag
+from .data import Bag, check_observations
 from .metrics import IntervalReport, IntervalStats, check_epsilons
 from .ncm import RegressionCoefficientProvider
 
@@ -249,9 +249,7 @@ class ConformalRegressor:
     def predict(self, X) -> list[PredictionIntervals]:
         """Prediction-interval unions for each observation row."""
         lines = self._require_trained()
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self._bag.n_features:
-            raise ValueError(f"observations must form a matrix with {self._bag.n_features} columns")
+        X = check_observations(X, self._bag.n_features)
         out = []
         for x in X:
             a_new, b_new = self.provider.coeffs_n(x)

@@ -10,14 +10,13 @@ probability interval.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Sequence
 
 import numpy as np
 
-from .data import Bag, Label
-from .ncm import KnnConfig, _pairwise_sq_dists
+from .data import Bag, Label, check_labels_known, check_observations
+from .ncm import KnnConfig, _pairwise_sq_dists, _row_chunks
 
 
 class VennTaxonomy(ABC):
@@ -34,6 +33,20 @@ class VennTaxonomy(ABC):
     @abstractmethod
     def category(self, x: np.ndarray, y: Label, contains_x: bool) -> Hashable:
         """Category of the example (x, y)."""
+
+    def categories(
+        self, X: np.ndarray, hypotheses: Sequence[Sequence[Label]], contains_x: np.ndarray
+    ) -> list[list[Hashable]]:
+        """Batch form of ``category``: entry [i][r] is the category of
+        (X[i], hypotheses[i][r]) with ``contains_x[i]``.
+
+        This default loops over ``category``; a taxonomy overrides it to
+        share work between the rows and hypotheses of a batch.
+        """
+        return [
+            [self.category(x, y, bool(contains)) for y in ys]
+            for x, ys, contains in zip(X, hypotheses, contains_x)
+        ]
 
 
 class NearestNeighborTaxonomy(VennTaxonomy):
@@ -70,6 +83,32 @@ class NearestNeighborTaxonomy(VennTaxonomy):
             if not np.isfinite(sq).any():
                 return y
         return self._bag.y[int(np.argmin(sq))]
+
+    def categories(
+        self, X: np.ndarray, hypotheses: Sequence[Sequence[Label]], contains_x: np.ndarray
+    ) -> list[list[Hashable]]:
+        """One nearest-neighbour search per row, shared by its hypotheses;
+        the same rules as ``category``."""
+        if self._bag is None:
+            raise ValueError("taxonomy is not trained")
+        bag = self._bag
+        if len(bag) == 0:
+            return [list(ys) for ys in hypotheses]
+        X = np.asarray(X, dtype=float)
+        contains_x = np.asarray(contains_x, dtype=bool)
+        nearest = np.empty(len(X), dtype=int)
+        for rows in _row_chunks(len(X), len(bag)):
+            sq = _pairwise_sq_dists(X[rows], bag.x)
+            contains = contains_x[rows]
+            zero = sq == 0
+            own = contains & zero.any(axis=1)
+            sq[own, zero.argmax(axis=1)[own]] = np.inf
+            # a degenerate bag leaves no finite distance; -1 marks the fallback
+            degenerate = contains & ~np.isfinite(sq).any(axis=1)
+            nearest[rows] = np.where(degenerate, -1, sq.argmin(axis=1))
+        return [
+            list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
+        ]
 
 
 @dataclass(frozen=True)
@@ -116,23 +155,46 @@ class VennPredictor:
         self.taxonomy = taxonomy
         self._bag: Bag | None = None
         self._categories: list[Hashable] | None = None
+        # row c: label counts (label-space order) of the bag examples in the
+        # category with index c; the last row, all zeros, serves new categories
+        self._category_index: dict[Hashable, int] = {}
+        self._label_counts: np.ndarray | None = None
+        self._observations: set[bytes] = set()
 
     @property
     def bag(self) -> Bag | None:
         return self._bag
 
     def train(self, bag: Bag, override: bool = False) -> "VennPredictor":
-        """Fit the taxonomy and cache each bag example's category."""
+        """Fit the taxonomy and cache each bag example's category and the
+        label counts of every category."""
         merged = bag if (override or self._bag is None) else self._bag.append(bag)
         if not merged.label_space:
             raise ValueError("the Venn predictor needs a classification bag")
         if len(merged.label_space) < 2:
             raise ValueError("the label space must hold at least two labels")
         self.taxonomy.train(merged)
-        self._bag = merged
-        self._categories = [
-            self.taxonomy.category(x, y, True) for x, y in zip(merged.x, merged.y)
+        n = len(merged)
+        categories = [
+            row[0]
+            for row in self.taxonomy.categories(merged.x, [(y,) for y in merged.y], np.ones(n, bool))
         ]
+        index = {cat: c for c, cat in enumerate(dict.fromkeys(categories))}
+        label_index = {lbl: j for j, lbl in enumerate(merged.label_space)}
+        counts = np.zeros((len(index) + 1, len(label_index)))
+        np.add.at(
+            counts,
+            (
+                np.fromiter((index[c] for c in categories), dtype=int, count=n),
+                np.fromiter((label_index[y] for y in merged.y), dtype=int, count=n),
+            ),
+            1.0,
+        )
+        self._bag = merged
+        self._categories = categories
+        self._category_index = index
+        self._label_counts = counts
+        self._observations = {_row_key(x) for x in merged.x}
         return self
 
     def matrix(self, x) -> VennMatrix:
@@ -143,19 +205,8 @@ class VennPredictor:
         hypothetical example itself (so every denominator is at least one).
         """
         bag = self._require_trained()
-        x = np.asarray(x, dtype=float)
-        labels = bag.label_space
-        contains = bool(len(bag)) and bool(np.any(np.all(bag.x == x, axis=1)))
-        rows = np.empty((len(labels), len(labels)))
-        for r, hypothesis in enumerate(labels):
-            cat = self.taxonomy.category(x, hypothesis, contains)
-            counts = Counter(
-                y for y, c in zip(bag.y, self._categories) if c == cat
-            )
-            counts[hypothesis] += 1
-            total = sum(counts.values())
-            rows[r] = [counts[lbl] / total for lbl in labels]
-        return VennMatrix(rows, labels)
+        X = check_observations(np.asarray(x, dtype=float)[None, :], bag.n_features)
+        return VennMatrix(self._matrices(X)[0], bag.label_space)
 
     def predict(self, X, proba: bool = True):
         """Predicted labels, optionally with error probability intervals.
@@ -165,20 +216,15 @@ class VennPredictor:
         around 1, the error interval.
         """
         bag = self._require_trained()
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != bag.n_features:
-            raise ValueError(f"observations must form a matrix with {bag.n_features} columns")
-        predictions: list[Label] = []
-        intervals: list[ProbabilityInterval] = []
-        for x in X:
-            matrix = self.matrix(x)
-            qualities = matrix.rows.min(axis=0)
-            best = int(qualities.argmax())
-            column = matrix.rows[:, best]
-            predictions.append(bag.label_space[best])
-            intervals.append(
-                ProbabilityInterval(1.0 - float(column.max()), 1.0 - float(column.min()))
-            )
+        X = check_observations(X, bag.n_features)
+        rows = self._matrices(X)
+        best = rows.min(axis=1).argmax(axis=1)
+        columns = rows[np.arange(len(X)), :, best]
+        predictions = [bag.label_space[j] for j in best]
+        intervals = [
+            ProbabilityInterval(1.0 - float(hi), 1.0 - float(lo))
+            for hi, lo in zip(columns.max(axis=1), columns.min(axis=1))
+        ]
         return (predictions, intervals) if proba else predictions
 
     def score(self, test: Bag) -> VennReport:
@@ -190,8 +236,14 @@ class VennPredictor:
         return _venn_report(predictions, intervals, test.y)
 
     def score_online(self, stream: Bag) -> VennReport:
-        """Predict each stream element, record the outcome, then absorb it."""
-        self._require_trained()
+        """Predict each stream element, record the outcome, then absorb it.
+
+        The whole stream is checked before the first element is absorbed,
+        so a bad element leaves the bag unchanged.
+        """
+        bag = self._require_trained()
+        check_observations(stream.x, bag.n_features)
+        check_labels_known(stream, bag.label_space, "stream")
         if len(stream) == 0:
             return VennReport(0.0, 0.0, 0.0, 0.0, 0)
         predictions: list[Label] = []
@@ -204,10 +256,35 @@ class VennPredictor:
             self.train(Bag.classification(x[None, :], (y,), self._bag.label_space))
         return _venn_report(predictions, intervals, stream.y)
 
+    def _matrices(self, X: np.ndarray) -> np.ndarray:
+        """Venn matrix of every row of X, shape (m, L, L).
+
+        Row r of a matrix: the label counts of the category of (x, label_r),
+        read from the table cached at training, plus one for the hypothetical
+        example itself (so every denominator is at least one), normalised.
+        """
+        labels = self._bag.label_space
+        contains = np.fromiter(
+            (_row_key(x) in self._observations for x in X), dtype=bool, count=len(X)
+        )
+        categories = self.taxonomy.categories(X, [labels] * len(X), contains)
+        unseen = len(self._category_index)
+        ids = np.array(
+            [[self._category_index.get(cat, unseen) for cat in row] for row in categories],
+            dtype=int,
+        ).reshape(len(X), len(labels))
+        counts = self._label_counts[ids] + np.eye(len(labels))
+        return counts / counts.sum(axis=2, keepdims=True)
+
     def _require_trained(self) -> Bag:
         if self._bag is None:
             raise ValueError("predictor is not trained")
         return self._bag
+
+
+def _row_key(x: np.ndarray) -> bytes:
+    # adding 0.0 turns -0.0 into 0.0, so equal finite rows get equal keys
+    return (x + 0.0).tobytes()
 
 
 def _venn_report(predictions, intervals, truths) -> VennReport:

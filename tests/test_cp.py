@@ -318,3 +318,58 @@ class TestTransductiveExact:
         direct = [exact.predict_transductive_exact(row) for row in x]
         via_predict = exact.predict(x)
         assert [p.labels_at(0.2) for p in direct] == [p.labels_at(0.2) for p in via_predict]
+
+
+class TestInputValidation:
+    def test_non_finite_rows_rejected(self):
+        # a NaN row used to get p = 1/21 for every label
+        cp = ConformalClassifier(KnnClassifierMeasure(), CpConfig(epsilons=(0.1,)))
+        cp.train(gaussian_blobs(20, seed=40))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                cp.p_values(np.array([[0.0, 0.0], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            cp.predict_transductive_exact(np.array([np.nan, 0.0]))
+
+    def test_wrong_width_rejected(self):
+        cp = ConformalClassifier(KnnClassifierMeasure(), CpConfig(epsilons=(0.1,)))
+        cp.train(gaussian_blobs(20, seed=40))
+        with pytest.raises(ValueError, match="2 columns"):
+            cp.p_values(np.zeros((1, 3)))
+
+
+class TestAtomicScoreOnline:
+    def _trained(self):
+        return ConformalClassifier(
+            KnnClassifierMeasure(), CpConfig(epsilons=(0.1,))
+        ).train(gaussian_blobs(20, seed=41))
+
+    def test_bad_label_leaves_bag_unchanged(self):
+        # the bag used to grow by the elements before the bad one
+        cp = self._trained()
+        before = cp.bag
+        probe = gaussian_blobs(5, seed=42).x
+        expected = cp.p_values(probe).values
+        stream = Bag.classification(np.zeros((3, 2)), ["A", "B", "C"], ("A", "B", "C"))
+        with pytest.raises(ValueError, match="'C'.*outside the label space"):
+            cp.score_online(stream)
+        assert cp.bag is before and len(cp.bag) == 20
+        np.testing.assert_array_equal(cp.p_values(probe).values, expected)
+
+    def test_wrong_width_stream_leaves_bag_unchanged(self):
+        cp = self._trained()
+        with pytest.raises(ValueError, match="2 columns"):
+            cp.score_online(Bag.classification(np.zeros((2, 3)), ["A", "B"]))
+        assert len(cp.bag) == 20
+
+
+class TestMeasureContract:
+    def test_wrong_score_matrix_shape_rejected(self):
+        class Narrow(StubMeasure):
+            def score_matrix(self, X, label_space):
+                return np.zeros((len(X), 1))
+
+        cp = ConformalClassifier(Narrow([1, 2], [0, 0]), CpConfig(epsilons=(0.1,)))
+        cp.train(Bag.classification([[0.0], [1.0]], ["A", "B"]))
+        with pytest.raises(ValueError, match="expected"):
+            cp.p_values(np.zeros((2, 1)))

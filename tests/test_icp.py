@@ -262,3 +262,16 @@ class TestAgreementWithCp:
             a = cp.p_values(x_test, SeededRng(seed)).values
             b = icp.p_values(x_test, SeededRng(seed)).values
             np.testing.assert_array_equal(a, b)
+
+
+class TestInputValidation:
+    def test_non_finite_rows_rejected(self):
+        # an inf row used to get p = 0
+        icp = InductiveConformalClassifier(KnnClassifierMeasure(), IcpConfig(epsilons=(0.1,)))
+        bag = gaussian_blobs(30, seed=50)
+        icp.train(bag.subset(range(20))).calibrate(bag.subset(range(20, 30)))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                icp.p_values(np.array([[bad, 0.0]]))
+        with pytest.raises(ValueError, match="2 columns"):
+            icp.p_values(np.zeros(2))

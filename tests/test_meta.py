@@ -406,6 +406,27 @@ class TestCombinedClassifier:
         assert rates["rejection"] == 1.0
         assert rates["accuracy"] is None
 
+    def test_score_runs_each_classifier_once_per_row(self):
+        meta_stub = FixedRatioMeta(lambda row: float(row[0]))
+        base = ConstantBase("A")
+        rows = {"base": 0, "meta": 0}
+
+        def counted(name, fn):
+            def call(x):
+                rows[name] += len(x)
+                return fn(x)
+            return call
+
+        hooks = ClassifierHooks(base.fit, counted("base", base.predict),
+                                meta_stub.train, counted("meta", meta_stub.predict_pvals))
+        combined = CombinedClassifier(hooks, 0.8)
+        combined.threshold = __import__("conformal").Threshold(5.0)
+        bag = Bag.classification([[float(i)] for i in range(10)],
+                                 ["A" if i % 3 else "B" for i in range(10)])
+        cm, _ = combined.score(bag)
+        assert rows == {"base": 10, "meta": 10}
+        assert cm.rp + cm.rn == sum(d is ABSTAIN for d in combined.predict(bag.x)) == 6
+
     def test_raising_threshold_monotone_in_tp_fp(self):
         meta_stub = FixedRatioMeta(lambda row: float(row[0]))
         bag = Bag.classification([[float(i)] for i in range(20)],

@@ -212,3 +212,12 @@ class TestConformalRegressor:
         predictor = self._predictor().train(linear_regression_bag(10, seed=1))
         with pytest.raises(ValueError, match="empty"):
             predictor.score(Bag(np.empty((0, 1)), (), ()))
+
+    def test_non_finite_rows_rejected(self):
+        # a NaN row used to get a finite interval
+        predictor = self._predictor(k=3).train(linear_regression_bag(10, seed=1))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                predictor.predict(np.array([[bad]]))
+        with pytest.raises(ValueError, match="1 columns"):
+            predictor.predict(np.zeros((1, 2)))

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import gaussian_blobs
 from conformal import (
@@ -208,3 +210,116 @@ class TestScore:
             ProbabilityInterval(0.6, 0.4)
         with pytest.raises(ValueError):
             ProbabilityInterval(-0.1, 0.5)
+
+
+class TestBatchedMatrices:
+    """The cached label-count table and the batch taxonomy hook against the
+    Counter oracle, bit for bit."""
+
+    @staticmethod
+    def duplicated_bag(seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(24, 2)).astype(float)
+        x[6:12] = x[:6]  # exact duplicates, some with different labels
+        y = [("A", "B", "C")[i] for i in rng.integers(0, 3, size=24)]
+        return Bag.classification(x, y, ("A", "B", "C"))
+
+    def test_batch_matches_oracle_with_duplicates(self):
+        for seed in range(5):
+            bag = self.duplicated_bag(seed)
+            for taxonomy in (NearestNeighborTaxonomy(), HypothesisCategory(), SingleCategory()):
+                predictor = VennPredictor(taxonomy).train(bag)
+                X = np.vstack([bag.x[:8], np.random.default_rng(seed).integers(-2, 3, (8, 2))])
+                labels, intervals = predictor.predict(X)
+                for x, label, interval in zip(X, labels, intervals):
+                    expected = brute_force_matrix(predictor, x)
+                    rows = predictor.matrix(x).rows
+                    np.testing.assert_array_equal(rows, expected)
+                    best = int(expected.min(axis=0).argmax())
+                    assert label == bag.label_space[best]
+                    assert (interval.low, interval.high) == (
+                        1.0 - float(expected[:, best].max()), 1.0 - float(expected[:, best].min())
+                    )
+
+    def test_batch_hook_matches_category(self):
+        bag = self.duplicated_bag(9)
+        taxonomy = NearestNeighborTaxonomy()
+        taxonomy.train(bag)
+        X = np.vstack([bag.x, [[9.0, 9.0]]])
+        contains = np.array([True] * len(bag) + [False])
+        hypotheses = [("A", "C")] * len(X)
+        batch = taxonomy.categories(X, hypotheses, contains)
+        expected = [[taxonomy.category(x, y, c) for y in ys] for x, ys, c in zip(X, hypotheses, contains)]
+        assert batch == expected
+
+    def test_singleton_bag(self):
+        bag = Bag.classification([[1.0]], ["A"], ("A", "B"))
+        predictor = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+        for x in (np.array([1.0]), np.array([3.0])):
+            np.testing.assert_array_equal(predictor.matrix(x).rows, brute_force_matrix(predictor, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+            st.lists(st.sampled_from("ABC"), min_size=n, max_size=n),
+        )
+    ),
+    st.lists(st.integers(-1, 1), min_size=1, max_size=4),
+)
+def test_property_matrices_equal_oracle(bag_parts, queries):
+    coords, labels = bag_parts
+    bag = Bag.classification(np.array(coords, dtype=float)[:, None], labels, ("A", "B", "C"))
+    predictor = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+    X = np.array(queries, dtype=float)[:, None]
+    labels_out, _ = predictor.predict(X)
+    for x, label in zip(X, labels_out):
+        expected = brute_force_matrix(predictor, x)
+        np.testing.assert_array_equal(predictor.matrix(x).rows, expected)
+        assert label == bag.label_space[int(expected.min(axis=0).argmax())]
+
+
+class TestInputValidation:
+    def _predictor(self):
+        return VennPredictor(NearestNeighborTaxonomy()).train(gaussian_blobs(20, seed=30))
+
+    def test_non_finite_rows_rejected(self):
+        predictor = self._predictor()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                predictor.predict(np.array([[0.0, bad]]))
+            with pytest.raises(ValueError, match="finite"):
+                predictor.matrix(np.array([bad, 0.0]))
+
+    def test_wrong_width_rejected(self):
+        predictor = VennPredictor(NearestNeighborTaxonomy()).train(
+            Bag.classification(np.eye(3), ["A", "B", "A"])
+        )
+        with pytest.raises(ValueError, match="3 columns"):
+            predictor.matrix(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="3 columns"):
+            predictor.predict(np.zeros((2, 2)))
+
+
+class TestAtomicScoreOnline:
+    def test_bad_label_leaves_bag_unchanged(self):
+        predictor = VennPredictor(NearestNeighborTaxonomy()).train(gaussian_blobs(20, seed=31))
+        before = predictor.bag
+        x_probe = gaussian_blobs(5, seed=32).x
+        expected = predictor.predict(x_probe)
+        stream = gaussian_blobs(3, seed=33, centers=((0, 0), (2, 2), (4, 4)), labels=("A", "B", "C"))
+        stream = Bag.classification(stream.x, ["A", "B", "C"], ("A", "B", "C"))
+        with pytest.raises(ValueError, match="'C'.*outside the label space"):
+            predictor.score_online(stream)
+        assert predictor.bag is before and len(predictor.bag) == 20
+        after = predictor.predict(x_probe)
+        assert after[0] == expected[0]
+        assert [(i.low, i.high) for i in after[1]] == [(i.low, i.high) for i in expected[1]]
+
+    def test_wrong_width_stream_leaves_bag_unchanged(self):
+        predictor = VennPredictor(NearestNeighborTaxonomy()).train(gaussian_blobs(20, seed=34))
+        with pytest.raises(ValueError, match="2 columns"):
+            predictor.score_online(Bag.classification(np.zeros((2, 3)), ["A", "B"]))
+        assert len(predictor.bag) == 20
