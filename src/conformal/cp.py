@@ -217,6 +217,9 @@ class ConformalClassifier:
         self.config = config
         self._bag: Bag | None = None
         self._by_category: dict[Hashable, np.ndarray] = {}
+        # taxonomy category of every bag example, as an index into _category_keys
+        self._category_ids: np.ndarray | None = None
+        self._category_keys: dict[Hashable, int] = {}
 
     @property
     def bag(self) -> Bag | None:
@@ -227,19 +230,41 @@ class ConformalClassifier:
         """Fit the measure and cache per-example scores.
 
         Without ``override`` the new examples are appended to the bag already
-        held; with it they replace that bag.
+        held and the measure absorbs them through its ``extend`` hook; with
+        it they replace that bag.  Either way the scores equal those of a
+        measure trained from scratch on the resulting bag.
         """
-        merged = bag if (override or self._bag is None) else self._bag.append(bag)
+        fresh = override or self._bag is None
+        merged = bag if fresh else self._bag.append(bag)
         if len(merged) == 0 and not merged.label_space:
             raise ValueError("cannot train on an empty bag")
         if len(merged) and not merged.is_classification:
             raise ValueError("the conformal classifier needs a classification bag")
-        self.measure.train(merged)
-        scores = np.asarray(self.measure.scores(merged, True), dtype=float)
+        n_old = 0 if fresh else len(self._bag)
+        keys = {} if fresh else dict(self._category_keys)
+        taxonomy = self.config.taxonomy
+        ids = None
+        if taxonomy is not None:
+            new_ids = np.fromiter(
+                (keys.setdefault(taxonomy(x, y), len(keys))
+                 for x, y in zip(merged.x[n_old:], merged.y[n_old:])),
+                dtype=int, count=len(merged) - n_old,
+            )
+            ids = new_ids if fresh else np.concatenate([self._category_ids, new_ids])
+        if fresh:
+            self.measure.train(merged)
+            scores = self.measure.scores(merged, True)
+        else:
+            scores = self.measure.extend(merged, n_old)
+        scores = np.asarray(scores, dtype=float)
         if scores.shape != (len(merged),):
             raise ValueError(f"measure returned {scores.shape}, expected ({len(merged)},)")
         self._bag = merged
-        self._by_category = _partition_scores(scores, merged, self.config.taxonomy)
+        self._category_ids, self._category_keys = ids, keys
+        if taxonomy is None:
+            self._by_category = {_SINGLE_CATEGORY: np.sort(scores)}
+        else:
+            self._by_category = {cat: np.sort(scores[ids == c]) for cat, c in keys.items()}
         return self
 
     def p_values(self, X, rng: SeededRng | None = None) -> PValueTable:
@@ -297,7 +322,9 @@ class ConformalClassifier:
     def score_online(self, stream: Bag, rng: SeededRng | None = None, return_p_values: bool = False):
         """Predict each stream element, record the outcome, then absorb it.
 
-        Retrains from scratch after every element.  Returns the cumulative
+        Each element is absorbed by a non-override ``train``, so the measure
+        updates only the scores the element changes (see
+        ``NonconformityMeasure.extend``).  Returns the cumulative
         report; with ``return_p_values`` also the p-value the true label had
         at prediction time, one entry per step.  The whole stream is checked
         before the first element is absorbed, so a bad element leaves the
@@ -351,15 +378,3 @@ class ConformalClassifier:
             else:
                 out[j] = (gt + taus_row[j] * eq) / total
         return out
-
-
-def _partition_scores(
-    scores: np.ndarray, bag: Bag, taxonomy: Taxonomy | None
-) -> dict[Hashable, np.ndarray]:
-    if taxonomy is None:
-        return {_SINGLE_CATEGORY: np.sort(scores)}
-    groups: dict[Hashable, list[float]] = {}
-    for x, y, s in zip(bag.x, bag.y, scores):
-        groups.setdefault(taxonomy(x, y), []).append(s)
-    return {cat: np.sort(np.asarray(vals)) for cat, vals in groups.items()}
-

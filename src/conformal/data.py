@@ -114,13 +114,21 @@ class Bag:
         """New bag with this bag's examples followed by ``other``'s.
 
         Label spaces are merged (sorted) so a stream may introduce labels.
+        Only ``other``'s examples are checked: this bag's were checked when
+        it was built, and its labels stay inside the merged label space.
         """
         if self.is_classification != other.is_classification and (self.y or other.y):
             raise ValueError("cannot mix classification and regression bags")
         if self.n_features != other.n_features:
             raise ValueError("feature arity mismatch")
         space = tuple(sorted(set(self.label_space) | set(other.label_space)))
-        return Bag(np.vstack([self.x, other.x]), self.y + other.y, space)
+        tail = Bag(other.x, other.y, space)
+        merged = Bag.__new__(Bag)
+        merged.x = np.vstack([self.x, tail.x])
+        merged.x.setflags(write=False)
+        merged.y = self.y + tail.y
+        merged.label_space = space
+        return merged
 
 
 def check_observations(X, n_features: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Bag, Label
+from .data import Bag, Label, check_observations
 
 #: Stand-in for an infinite score ratio; keeps downstream sorting total.
 HUGE_SCORE = float(np.finfo(np.float64).max)
@@ -54,6 +54,18 @@ class NonconformityMeasure(ABC):
             out[i] = self.score(x, label_space)
         return out
 
+    def extend(self, bag: Bag, n_old: int) -> np.ndarray:
+        """Absorb new examples: train on ``bag`` and return its training scores.
+
+        The first ``n_old`` examples of ``bag`` are the bag of the previous
+        ``train`` or ``extend`` call.  The result must equal
+        ``train(bag)`` followed by ``scores(bag, True)``, which is what this
+        default does; a measure overrides it to update only the scores the
+        new examples change.
+        """
+        self.train(bag)
+        return self.scores(bag, True)
+
 
 class RegressionCoefficientProvider(ABC):
     """Provides the (a, b) coefficients of regression score lines ``|a + b*y|``."""
@@ -69,6 +81,16 @@ class RegressionCoefficientProvider(ABC):
     @abstractmethod
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:
         """Coefficients (a, b) for a new observation."""
+
+    def extend(self, bag: Bag, n_old: int) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb new examples: train on ``bag`` and return its coefficients.
+
+        The first ``n_old`` examples of ``bag`` are the bag of the previous
+        ``train`` or ``extend`` call.  The result must equal ``train(bag)``
+        followed by ``coeffs(bag, True)``, which is what this default does.
+        """
+        self.train(bag)
+        return self.coeffs(bag, True)
 
 
 #: Most entries of one query-by-bag distance block (512 KiB of floats, about
@@ -88,14 +110,24 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, accumulated per feature so coincident rows
     give exactly 0 (no cancellation tricks).  The scratch buffer covers one
     row chunk, so the only full-size allocation is the result."""
+    return _sq_dists_to(a, _feature_rows(b))
+
+
+def _feature_rows(b: np.ndarray) -> np.ndarray:
+    """The bag side of :func:`_sq_dists_to`: one contiguous row per feature,
+    so that each pass over a feature reads the bag sequentially."""
+    return np.asarray(b, dtype=float).T.copy()
+
+
+def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    """:func:`_pairwise_sq_dists` against a bag given by its feature rows."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for rows in _row_chunks(a.shape[0], b.shape[0]):
+    out = np.zeros((a.shape[0], b_rows.shape[1]))
+    for rows in _row_chunks(a.shape[0], b_rows.shape[1]):
         block = out[rows]
         tmp = np.empty_like(block)
         for j in range(a.shape[1]):
-            np.subtract(a[rows, j][:, None], b[:, j][None, :], out=tmp)
+            np.subtract(a[rows, j][:, None], b_rows[j][None, :], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
             np.add(block, tmp, out=block)
     return out
@@ -106,20 +138,28 @@ def _pairwise_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(_pairwise_sq_dists(a, b))
 
 
-def _k_smallest_dist_sums(sq: np.ndarray, k: int, order: str = "K") -> np.ndarray:
-    """Row-wise sum of the k smallest distances, given squared distances.
+def _k_smallest(sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise sum of the k smallest distances, given squared distances, and
+    the k-th smallest squared distance.
 
     sqrt is monotone, so partitioning the squares selects the same k
-    neighbours; the root is only taken for the selected entries.  ``order``
-    is the memory layout of the roots, which decides the order in which
-    numpy adds them up: with "C" each row is summed on its own, so a row's
-    result does not depend on the other rows of the block.
+    neighbours; the root is only taken for the selected entries.  The roots
+    are summed in C order, so a row's sum does not depend on the other rows
+    of the block.  numpy's selection returns the k smallest in ascending
+    order, so the sum depends only on their values: an entry added at or
+    above the k-th smallest leaves it unchanged, bit for bit.  A row of
+    exactly k entries is summed as it stands and reports an infinite k-th
+    distance: any entry added to it changes the sum.
     """
     if k == 1:
-        return np.sqrt(sq.min(axis=1))
+        kth = sq.min(axis=1)
+        return np.sqrt(kth), kth
     if sq.shape[1] > k:
         sq = np.partition(sq, k - 1, axis=1)[:, :k]
-    return np.sqrt(sq, order=order).sum(axis=1)
+        kth = sq[:, k - 1].copy()
+    else:
+        kth = np.full(sq.shape[0], np.inf)
+    return np.sqrt(sq, order="C").sum(axis=1), kth
 
 
 def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -130,6 +170,23 @@ def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out[zero_den & (num == 0)] = 0.0
     out[zero_den & (num > 0)] = HUGE_SCORE
     return out
+
+
+def _check_neighbours(k: int, lbl: Label, n_same: int, n_other: int) -> None:
+    if n_same < k:
+        raise ValueError(f"label {lbl!r}: {n_same} same-label neighbour(s) available, need k={k}")
+    if n_other < k:
+        raise ValueError(f"label {lbl!r}: {n_other} other-label neighbour(s) available, need k={k}")
+
+
+def _continues(old: "Bag | None", bag: Bag, n_old: int) -> bool:
+    """Whether the first ``n_old`` examples of ``bag`` are exactly ``old``."""
+    return (
+        old is not None
+        and len(old) == n_old <= len(bag)
+        and old.y == bag.y[:n_old]
+        and np.array_equal(old.x, bag.x[:n_old])
+    )
 
 
 @dataclass(frozen=True)
@@ -150,7 +207,52 @@ class KnnConfig:
             raise ValueError(f"unsupported distance {self.distance!r}")
 
 
-def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool) -> np.ndarray:
+def _label_columns(codes: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Per label code of a bag: the columns holding that label and the other
+    columns; plus each column's position among the columns of its label."""
+    groups = {}
+    rank = np.empty(len(codes), dtype=int)
+    for code in range(int(codes.max()) + 1 if len(codes) else 0):
+        same = codes == code
+        cols = np.flatnonzero(same)
+        rank[cols] = np.arange(len(cols))
+        groups[code] = (cols, np.flatnonzero(~same))
+    return groups, rank
+
+
+def _knn_rows(
+    k: int, sq: np.ndarray, row_codes: np.ndarray, columns: tuple, own: np.ndarray, labels
+) -> np.ndarray:
+    """Scores of target rows from their squared distances ``sq`` to the bag.
+
+    Returns shape (3, rows): the scores, then each row's k-th smallest
+    same-label and other-label squared distance.  ``row_codes`` are the
+    rows' label codes (-1: a label the bag lacks) and ``columns`` the bag's
+    :func:`_label_columns`; ``own[i] >= 0`` is the bag column of row i
+    itself, left out of its same-label group; ``labels[i]`` names row i in
+    errors.  Every caller scores a row with this code, so a row's score is
+    the same bits whichever block or chunk it comes in.
+    """
+    groups, rank = columns
+    out = np.empty((3, sq.shape[0]))
+    for code in sorted(set(row_codes.tolist())):
+        rows = np.flatnonzero(row_codes == code)
+        same, other = groups.get(code, (rank[:0], np.arange(sq.shape[1])))
+        block = sq if len(rows) == len(sq) else sq[rows]
+        same_sq = block[:, same]
+        cols = own[rows]
+        has_own = cols >= 0
+        same_sq[has_own, rank[cols[has_own]]] = np.inf
+        _check_neighbours(k, labels[rows[0]], len(same) - int(has_own.any()), len(other))
+        num, same_kth = _k_smallest(same_sq, k)
+        den, other_kth = _k_smallest(block[:, other], k)
+        out[:, rows] = _ratio_scores(num, den), same_kth, other_kth
+    return out
+
+
+def knn_scores(
+    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool, return_kth: bool = False
+):
     """Score each target example as d_k(same label) / d_k(other labels).
 
     d_k is the sum of the k smallest Euclidean distances from the example's
@@ -160,48 +262,51 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     each example is excluded from its own same-label group (otherwise its
     zero self-distance would swamp every score); exclusion drops one
     zero-distance same-label occurrence, which also lets sub-bags of the
-    training bag be scored.
+    training bag be scored.  The target is scored in row chunks.
+
+    With ``return_kth`` the result is ``(scores, kth)``: ``kth`` has shape
+    (2, len(target)) and holds each example's k-th smallest same-label and
+    other-label squared distance.  A new training example changes an
+    example's score only if it is strictly closer than the threshold of its
+    group.
     """
-    k = cfg.k
-    # when the target is the training bag itself, row r of a same-label block
-    # is that block's column r, so self-exclusion is the block diagonal
+    # when the target is the training bag itself, example i is its own column i
     aligned = target is training or (target.x is training.x and target.y == training.y)
-    sq = _pairwise_sq_dists(target.x, training.x)
-    tr_labels = np.array(training.y, dtype=object)
-    tg_labels = np.array(target.y, dtype=object)
-    out = np.empty(len(target))
-    for lbl in dict.fromkeys(target.y):
-        rows = tg_labels == lbl
-        same = tr_labels == lbl
-        n_other = int((~same).sum())
-        same_sq = sq[np.ix_(rows, same)]
-        available = np.full(same_sq.shape[0], int(same.sum()))
-        if is_training_bag and same_sq.size:
-            if aligned:
-                np.fill_diagonal(same_sq, np.inf)
-                available -= 1
-            else:
-                # drop one zero-distance occurrence per row (the example itself)
-                zero = same_sq == 0
-                has_self = zero.any(axis=1)
-                same_sq[has_self, zero.argmax(axis=1)[has_self]] = np.inf
-                available[has_self] -= 1
-        if int(available.min()) < k:
-            raise ValueError(
-                f"label {lbl!r}: {int(available.min())} same-label neighbour(s) available, need k={k}"
-            )
-        if n_other < k:
-            raise ValueError(f"label {lbl!r}: {n_other} other-label neighbour(s) available, need k={k}")
-        num = _k_smallest_dist_sums(same_sq, k)
-        den = _k_smallest_dist_sums(sq[np.ix_(rows, ~same)], k)
-        out[rows] = _ratio_scores(num, den)
-    return out
+    codes, code_of = _label_codes(training.y)
+    columns = _label_columns(codes)
+    if aligned:
+        target_codes = codes
+    else:
+        target_codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
+    # rows of one label together, so that most chunks hold a single label
+    order = np.argsort(target_codes, kind="stable")
+    bag_rows = _feature_rows(training.x)
+    out = np.empty((3, len(target)))
+    for chunk in _row_chunks(len(target), len(training)):
+        idx = order[chunk]
+        sq = _sq_dists_to(target.x[idx], bag_rows)
+        row_codes = target_codes[idx]
+        if not is_training_bag:
+            own = np.full(len(idx), -1)
+        elif aligned:
+            own = idx
+        else:
+            # the example itself: its first zero-distance same-label occurrence
+            zero = (sq == 0) & (codes[None, :] == row_codes[:, None])
+            own = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+        out[:, idx] = _knn_rows(cfg.k, sq, row_codes, columns, own, [target.y[i] for i in idx])
+    return (out[0], out[1:]) if return_kth else out[0]
 
 
-def _label_codes(y: Sequence[Label]) -> tuple[np.ndarray, dict]:
-    """Integer code per label (codes follow first appearance) and the code map."""
-    code_of = {lbl: i for i, lbl in enumerate(dict.fromkeys(y))}
-    return np.fromiter((code_of[v] for v in y), dtype=int, count=len(y)), code_of
+def _label_codes(y: Sequence[Label], codes: np.ndarray | None = None, code_of: dict | None = None):
+    """Integer code per label (codes follow first appearance) and the code
+    map; with ``codes`` and ``code_of`` of a bag, the codes of that bag
+    followed by those of ``y``."""
+    code_of = dict(code_of or {})
+    for lbl in dict.fromkeys(y):
+        code_of.setdefault(lbl, len(code_of))
+    fresh = np.fromiter((code_of[v] for v in y), dtype=int, count=len(y))
+    return (fresh if codes is None else np.concatenate([codes, fresh])), code_of
 
 
 def _same_label_masks(
@@ -212,11 +317,7 @@ def _same_label_masks(
     for lbl in label_space:
         same = codes == code_of.get(lbl, -1)
         n_same = int(same.sum())
-        n_other = len(codes) - n_same
-        if n_same < k:
-            raise ValueError(f"label {lbl!r}: {n_same} same-label neighbour(s) available, need k={k}")
-        if n_other < k:
-            raise ValueError(f"label {lbl!r}: {n_other} other-label neighbour(s) available, need k={k}")
+        _check_neighbours(k, lbl, n_same, len(codes) - n_same)
         masks.append(same)
     return masks
 
@@ -224,14 +325,14 @@ def _same_label_masks(
 def _knn_block_scores(k: int, bag_x: np.ndarray, masks: list[np.ndarray], X: np.ndarray) -> np.ndarray:
     """Scores of every (row of X, candidate label) pair from one distance block
     per row chunk; ``masks[j]`` selects the bag examples labelled like candidate j."""
+    X = check_observations(X, bag_x.shape[1])
     out = np.empty((X.shape[0], len(masks)))
     others = [~same for same in masks]
+    bag_rows = _feature_rows(bag_x)
     for rows in _row_chunks(X.shape[0], bag_x.shape[0]):
-        sq = _pairwise_sq_dists(X[rows], bag_x)
+        sq = _sq_dists_to(X[rows], bag_rows)
         for j, (same, other) in enumerate(zip(masks, others)):
-            num = _k_smallest_dist_sums(sq[:, same], k, order="C")
-            den = _k_smallest_dist_sums(sq[:, other], k, order="C")
-            out[rows, j] = _ratio_scores(num, den)
+            out[rows, j] = _ratio_scores(_k_smallest(sq[:, same], k)[0], _k_smallest(sq[:, other], k)[0])
     return out
 
 
@@ -246,21 +347,68 @@ def knn_score_per_label(
 
 
 class KnnClassifierMeasure(NonconformityMeasure):
-    """Nonconformity as the ratio of same-label to other-label neighbour distances."""
+    """Nonconformity as the ratio of same-label to other-label neighbour distances.
+
+    Scoring its own training bag also keeps each example's score and the
+    k-th smallest same-label and other-label squared distance (O(n) floats),
+    so ``extend`` rescores only the examples a new example comes closer to
+    than that threshold, plus the new examples themselves.
+    """
 
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
         self._bag: Bag | None = None
         self._codes: np.ndarray | None = None
         self._code_of: dict = {}
+        # (scores, kth) of the training bag, once it has been scored
+        self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
         self._codes, self._code_of = _label_codes(bag.y)
+        self._fit = None
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
         self._require_trained()
-        return knn_scores(self.config, self._bag, bag, is_training_bag)
+        if bag is not self._bag or not is_training_bag:
+            return knn_scores(self.config, self._bag, bag, is_training_bag)
+        self._fit = knn_scores(self.config, bag, bag, True, return_kth=True)
+        return self._fit[0].copy()
+
+    def extend(self, bag: Bag, n_old: int) -> np.ndarray:
+        """Training scores of ``bag``, updating only what its new examples change.
+
+        When the held state is for ``bag``'s first ``n_old`` examples, a new
+        example's label with too few neighbours raises, as training on
+        ``bag`` would, before any state changes.
+        """
+        if self._fit is None or not _continues(self._bag, bag, n_old):
+            return super().extend(bag, n_old)
+        n = len(bag)
+        codes, code_of = _label_codes(bag.y[n_old:], self._codes, self._code_of)
+        old_scores, old_kth = self._fit
+        # old example i changes only if a new example of its own label comes
+        # closer than its same-label threshold, or one of another label
+        # closer than its other-label threshold; a tie changes nothing
+        new_sq = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old])
+        same = codes[n_old:, None] == codes[None, :n_old]
+        closer = new_sq < np.where(same, old_kth[0], old_kth[1])
+        rows = np.concatenate([np.flatnonzero(closer.any(axis=0)), np.arange(n_old, n)])
+        columns = _label_columns(codes)
+        fresh = np.empty((3, len(rows)))
+        for chunk in _row_chunks(len(rows), n):
+            idx = rows[chunk]
+            sq = _pairwise_sq_dists(bag.x[idx], bag.x)
+            fresh[:, chunk] = _knn_rows(
+                self.config.k, sq, codes[idx], columns, idx, [bag.y[i] for i in idx]
+            )
+        scores = np.concatenate([old_scores, np.empty(n - n_old)])
+        kth = np.concatenate([old_kth, np.empty((2, n - n_old))], axis=1)
+        scores[rows] = fresh[0]
+        kth[:, rows] = fresh[1:]
+        self._bag, self._codes, self._code_of = bag, codes, code_of
+        self._fit = (scores, kth)
+        return scores.copy()
 
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
         return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
@@ -270,20 +418,31 @@ class KnnClassifierMeasure(NonconformityMeasure):
         if len(self._bag) == 0:
             raise ValueError("empty training bag")
         masks = _same_label_masks(self.config.k, self._codes, self._code_of, label_space)
-        return _knn_block_scores(self.config.k, self._bag.x, masks, np.asarray(X, dtype=float))
+        return _knn_block_scores(self.config.k, self._bag.x, masks, X)
 
     def _require_trained(self):
         if self._bag is None:
             raise ValueError("measure is not trained")
 
 
+def _nearest_label_means(k: int, sq: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of squared distances: the mean label of the k nearest bag
+    examples (stable ties: lower index first) and the k-th smallest squared
+    distance.  Every caller averages a row with this code."""
+    order = np.argsort(sq, axis=1, kind="stable")[:, :k]
+    return labels[order].mean(axis=1), np.take_along_axis(sq, order[:, -1:], axis=1)[:, 0]
+
+
 def knn_regression_coeffs(
-    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool, return_kth: bool = False
+):
     """Coefficients for bag elements: a_i = y_i - mean(k nearest labels), b_i = 0.
 
     Each example is excluded from its own neighbourhood when the target is
-    the training bag; distance ties break by ascending bag index.
+    the training bag; distance ties break by ascending bag index.  With
+    ``return_kth`` the result is ``(a, b, kth)``, where ``kth`` holds each
+    example's k-th smallest squared distance: a new training example enters
+    the neighbourhood of example i only if it is strictly closer than that.
     """
     k = cfg.k
     available = len(training) - (1 if is_training_bag else 0)
@@ -294,10 +453,9 @@ def knn_regression_coeffs(
     sq = _pairwise_sq_dists(target.x, training.x)
     if is_training_bag:
         np.fill_diagonal(sq, np.inf)
-    order = np.argsort(sq, axis=1, kind="stable")[:, :k]
-    labels = np.asarray(training.y, dtype=float)
-    a = np.asarray(target.y, dtype=float) - labels[order].mean(axis=1)
-    return a, np.zeros(len(target))
+    means, kth = _nearest_label_means(k, sq, np.asarray(training.y, dtype=float))
+    a = np.asarray(target.y, dtype=float) - means
+    return (a, np.zeros(len(target)), kth) if return_kth else (a, np.zeros(len(target)))
 
 
 def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tuple[float, float]:
@@ -310,18 +468,52 @@ def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tup
 
 
 class KnnRegressionProvider(RegressionCoefficientProvider):
-    """Coefficient provider built on nearest-neighbour label averages."""
+    """Coefficient provider built on nearest-neighbour label averages.
+
+    The coefficients of its own training bag are kept with each example's
+    k-th smallest squared distance, so ``extend`` recomputes a_i only for
+    the examples a new example comes strictly closer to than that, plus the
+    new examples themselves (the stable order puts the new, largest index
+    after any ties).
+    """
 
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
         self._bag: Bag | None = None
+        # (a, kth) of the training bag, once its coefficients are computed
+        self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
+        self._fit = None
 
     def coeffs(self, bag: Bag, is_training_bag: bool) -> tuple[np.ndarray, np.ndarray]:
         self._require_trained()
-        return knn_regression_coeffs(self.config, self._bag, bag, is_training_bag)
+        if bag is not self._bag or not is_training_bag:
+            return knn_regression_coeffs(self.config, self._bag, bag, is_training_bag)
+        a, b, kth = knn_regression_coeffs(self.config, bag, bag, True, return_kth=True)
+        self._fit = (a, kth)
+        return a.copy(), b
+
+    def extend(self, bag: Bag, n_old: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._fit is None or not _continues(self._bag, bag, n_old):
+            return super().extend(bag, n_old)
+        n = len(bag)
+        old_a, old_kth = self._fit
+        closer = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old]) < old_kth
+        rows = np.concatenate([np.flatnonzero(closer.any(axis=0)), np.arange(n_old, n)])
+        labels = np.asarray(bag.y, dtype=float)
+        a = np.concatenate([old_a, np.empty(n - n_old)])
+        kth = np.concatenate([old_kth, np.empty(n - n_old)])
+        for chunk in _row_chunks(len(rows), n):
+            idx = rows[chunk]
+            sq = _pairwise_sq_dists(bag.x[idx], bag.x)
+            sq[np.arange(len(idx)), idx] = np.inf
+            means, kth[idx] = _nearest_label_means(self.config.k, sq, labels)
+            a[idx] = labels[idx] - means
+        self._bag = bag
+        self._fit = (a, kth)
+        return a.copy(), np.zeros(n)
 
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:
         self._require_trained()

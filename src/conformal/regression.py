@@ -224,26 +224,49 @@ class ConformalRegressor:
         self.config = config
         self._bag: Bag | None = None
         self._lines: list[ScoreLine] | None = None
+        # the provider's coefficients behind _lines, to spot the changed ones
+        self._coeffs: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def bag(self) -> Bag | None:
         return self._bag
 
     def train(self, bag: Bag, override: bool = False) -> "ConformalRegressor":
-        """Fit the coefficient provider and cache the bag's score lines."""
-        merged = bag if (override or self._bag is None) else self._bag.append(bag)
+        """Fit the coefficient provider and cache the bag's score lines.
+
+        Without ``override`` the new examples are appended to the bag already
+        held, the provider absorbs them through its ``extend`` hook, and only
+        the score lines whose coefficients changed are rebuilt.
+        """
+        fresh = override or self._bag is None
+        merged = bag if fresh else self._bag.append(bag)
         if len(merged) == 0:
             raise ValueError("cannot train on an empty bag")
         if merged.is_classification:
             raise ValueError("the regression predictor needs a regression bag")
-        self.provider.train(merged)
-        a, b = self.provider.coeffs(merged, True)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        if fresh:
+            self.provider.train(merged)
+            a, b = self.provider.coeffs(merged, True)
+        else:
+            a, b = self.provider.extend(merged, len(self._bag))
+        # copies: the next train compares against them
+        a = np.array(a, dtype=float)
+        b = np.array(b, dtype=float)
         if a.shape != (len(merged),) or b.shape != (len(merged),):
             raise ValueError("provider returned malformed coefficient vectors")
+        if fresh:
+            self._lines = [normalize_line(ai, bi) for ai, bi in zip(a, b)]
+        else:
+            n_old = len(self._bag)
+            old_a, old_b = self._coeffs
+            changed = np.flatnonzero(_bits_differ(a[:n_old], old_a) | _bits_differ(b[:n_old], old_b))
+            updates = [(i, normalize_line(a[i], b[i])) for i in changed.tolist()]
+            tail = [normalize_line(ai, bi) for ai, bi in zip(a[n_old:], b[n_old:])]
+            for i, line in updates:
+                self._lines[i] = line
+            self._lines.extend(tail)
         self._bag = merged
-        self._lines = [normalize_line(ai, bi) for ai, bi in zip(a, b)]
+        self._coeffs = (a, b)
         return self
 
     def predict(self, X) -> list[PredictionIntervals]:
@@ -271,7 +294,12 @@ class ConformalRegressor:
         return _interval_report(predictions, test.y, self.config.epsilons)
 
     def score_online(self, stream: Bag) -> IntervalReport:
-        """Predict each stream element, record the outcome, then absorb and retrain."""
+        """Predict each stream element, record the outcome, then absorb it.
+
+        Each element is absorbed by a non-override ``train``, so the provider
+        updates only the coefficients the element changes (see
+        ``RegressionCoefficientProvider.extend``).
+        """
         self._require_trained()
         if stream.is_classification:
             raise ValueError("scoring needs a regression bag")
@@ -289,6 +317,11 @@ class ConformalRegressor:
         if self._lines is None:
             raise ValueError("predictor is not trained")
         return self._lines
+
+
+def _bits_differ(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Elementwise: the floats differ, telling -0.0 from 0.0."""
+    return (new != old) | (np.signbit(new) != np.signbit(old))
 
 
 def _interval_report(predictions, truths, epsilons) -> IntervalReport:

@@ -16,7 +16,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .data import Bag, Label, check_labels_known, check_observations
-from .ncm import KnnConfig, _pairwise_sq_dists, _row_chunks
+from .ncm import KnnConfig, _continues, _feature_rows, _pairwise_sq_dists, _row_chunks, _sq_dists_to
 
 
 class VennTaxonomy(ABC):
@@ -48,6 +48,24 @@ class VennTaxonomy(ABC):
             for x, ys, contains in zip(X, hypotheses, contains_x)
         ]
 
+    def extend(self, bag: Bag, n_old: int) -> list[Hashable]:
+        """Absorb new examples: train on ``bag`` and return the category of
+        every bag example (x_i, y_i), each with ``contains_x``.
+
+        The first ``n_old`` examples of ``bag`` are the bag of the previous
+        ``train`` or ``extend`` call.  This default retrains and categorises
+        the whole bag; a taxonomy overrides it to update only the
+        categories the new examples change.
+        """
+        self.train(bag)
+        return _own_categories(self, bag)
+
+
+def _own_categories(taxonomy: VennTaxonomy, bag: Bag) -> list[Hashable]:
+    """Category of every example of the bag the taxonomy was trained on."""
+    hypotheses = [(y,) for y in bag.y]
+    return [row[0] for row in taxonomy.categories(bag.x, hypotheses, np.ones(len(bag), bool))]
+
 
 class NearestNeighborTaxonomy(VennTaxonomy):
     """Category = label of the nearest training observation.
@@ -56,7 +74,9 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     excluded, so a training point maps to the label of its nearest *other*
     neighbour.  Distance ties break by ascending bag index.  Degenerate bags
     (empty, or a singleton equal to x) fall back to the hypothesis label so
-    the mapping stays total.
+    the mapping stays total.  Categorising its own training bag keeps each
+    example's nearest index and squared distance, so ``extend`` moves only
+    the examples a new example comes strictly closer to.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -65,9 +85,12 @@ class NearestNeighborTaxonomy(VennTaxonomy):
             raise ValueError("the nearest-neighbour taxonomy uses exactly one neighbour")
         self.config = config
         self._bag: Bag | None = None
+        # (nearest index, its squared distance) per training example
+        self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
+        self._fit = None
 
     def category(self, x: np.ndarray, y: Label, contains_x: bool) -> Hashable:
         if self._bag is None:
@@ -94,21 +117,52 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         bag = self._bag
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
-        X = np.asarray(X, dtype=float)
         contains_x = np.asarray(contains_x, dtype=bool)
-        nearest = np.empty(len(X), dtype=int)
-        for rows in _row_chunks(len(X), len(bag)):
-            sq = _pairwise_sq_dists(X[rows], bag.x)
-            contains = contains_x[rows]
-            zero = sq == 0
-            own = contains & zero.any(axis=1)
-            sq[own, zero.argmax(axis=1)[own]] = np.inf
-            # a degenerate bag leaves no finite distance; -1 marks the fallback
-            degenerate = contains & ~np.isfinite(sq).any(axis=1)
-            nearest[rows] = np.where(degenerate, -1, sq.argmin(axis=1))
+        nearest, dist = _nearest(bag.x, np.asarray(X, dtype=float), contains_x)
+        if X is bag.x and contains_x.all():
+            self._fit = (nearest, dist)
         return [
             list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
         ]
+
+    def extend(self, bag: Bag, n_old: int) -> list[Hashable]:
+        if self._fit is None or not 2 <= n_old < len(bag) or not _continues(self._bag, bag, n_old):
+            return super().extend(bag, n_old)
+        old_nearest, old_dist = self._fit
+        # example i moves to the closest new example only if that one is
+        # strictly closer; a tie keeps the lower index, as argmin does
+        new_sq = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old])
+        closest = new_sq.argmin(axis=0)
+        closest_sq = new_sq[closest, np.arange(n_old)]
+        moved = closest_sq < old_dist
+        fresh, fresh_dist = _nearest(bag.x, bag.x[n_old:], np.ones(len(bag) - n_old, bool))
+        nearest = np.concatenate([np.where(moved, n_old + closest, old_nearest), fresh])
+        dist = np.concatenate([np.where(moved, closest_sq, old_dist), fresh_dist])
+        self._bag = bag
+        self._fit = (nearest, dist)
+        return [bag.y[j] for j in nearest.tolist()]
+
+
+def _nearest(bag_x: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each row's nearest bag observation and its squared distance.
+
+    A row with ``contains_x`` skips its first zero-distance occurrence; when
+    that leaves no bag observation the index is -1 (fall back to the
+    hypothesis label) and the distance inf.
+    """
+    nearest = np.empty(len(X), dtype=int)
+    dist = np.empty(len(X))
+    bag_rows = _feature_rows(bag_x)
+    for rows in _row_chunks(len(X), len(bag_x)):
+        sq = _sq_dists_to(X[rows], bag_rows)
+        contains = contains_x[rows]
+        zero = sq == 0
+        own = contains & zero.any(axis=1)
+        sq[own, zero.argmax(axis=1)[own]] = np.inf
+        closest = sq.argmin(axis=1)
+        dist[rows] = sq[np.arange(len(sq)), closest]
+        nearest[rows] = np.where(contains & ~np.isfinite(dist[rows]), -1, closest)
+    return nearest, dist
 
 
 @dataclass(frozen=True)
@@ -167,34 +221,35 @@ class VennPredictor:
 
     def train(self, bag: Bag, override: bool = False) -> "VennPredictor":
         """Fit the taxonomy and cache each bag example's category and the
-        label counts of every category."""
-        merged = bag if (override or self._bag is None) else self._bag.append(bag)
+        label counts of every category.
+
+        Without ``override`` the new examples are appended to the bag already
+        held, the taxonomy absorbs them through its ``extend`` hook, and only
+        the label counts of examples whose category changed are moved.
+        """
+        fresh = override or self._bag is None
+        merged = bag if fresh else self._bag.append(bag)
         if not merged.label_space:
             raise ValueError("the Venn predictor needs a classification bag")
         if len(merged.label_space) < 2:
             raise ValueError("the label space must hold at least two labels")
-        self.taxonomy.train(merged)
-        n = len(merged)
-        categories = [
-            row[0]
-            for row in self.taxonomy.categories(merged.x, [(y,) for y in merged.y], np.ones(n, bool))
-        ]
-        index = {cat: c for c, cat in enumerate(dict.fromkeys(categories))}
-        label_index = {lbl: j for j, lbl in enumerate(merged.label_space)}
-        counts = np.zeros((len(index) + 1, len(label_index)))
-        np.add.at(
-            counts,
-            (
-                np.fromiter((index[c] for c in categories), dtype=int, count=n),
-                np.fromiter((label_index[y] for y in merged.y), dtype=int, count=n),
-            ),
-            1.0,
-        )
+        if fresh:
+            self.taxonomy.train(merged)
+            categories = _own_categories(self.taxonomy, merged)
+        else:
+            categories = self.taxonomy.extend(merged, len(self._bag))
+        if fresh or merged.label_space != self._bag.label_space:
+            index, counts = _label_count_table(categories, merged)
+            observations = {_row_key(x) for x in merged.x}
+        else:
+            index, counts = self._moved_counts(categories, merged)
+            observations = self._observations
+            observations.update(_row_key(x) for x in merged.x[len(self._bag):])
         self._bag = merged
         self._categories = categories
         self._category_index = index
         self._label_counts = counts
-        self._observations = {_row_key(x) for x in merged.x}
+        self._observations = observations
         return self
 
     def matrix(self, x) -> VennMatrix:
@@ -276,10 +331,51 @@ class VennPredictor:
         counts = self._label_counts[ids] + np.eye(len(labels))
         return counts / counts.sum(axis=2, keepdims=True)
 
+    def _moved_counts(self, categories: list[Hashable], merged: Bag) -> tuple[dict, np.ndarray]:
+        """The label-count table after appending to the bag: the examples
+        whose category changed move their count, the new examples add theirs.
+        A category left empty keeps an all-zero row, which reads the same as
+        the row of an unseen category."""
+        n_old = len(self._bag)
+        old = self._categories
+        label_index = {lbl: j for j, lbl in enumerate(merged.label_space)}
+        index = dict(self._category_index)
+        changes = []  # (category row, label column, count delta)
+        moved = [i for i in range(n_old) if categories[i] != old[i]]
+        for i in moved + list(range(n_old, len(merged))):
+            col = label_index[merged.y[i]]
+            if i < n_old:
+                changes.append((index[old[i]], col, -1))
+            changes.append((index.setdefault(categories[i], len(index)), col, 1))
+        counts = np.zeros((len(index) + 1, len(label_index)))
+        counts[: len(self._category_index)] = self._label_counts[:-1]
+        if changes:
+            rows, cols, deltas = np.array(changes).T
+            np.add.at(counts, (rows, cols), deltas)
+        return index, counts
+
     def _require_trained(self) -> Bag:
         if self._bag is None:
             raise ValueError("predictor is not trained")
         return self._bag
+
+
+def _label_count_table(categories: list[Hashable], bag: Bag) -> tuple[dict, np.ndarray]:
+    """Index of every category and its label counts (label-space order),
+    plus a last all-zero row for unseen categories."""
+    n = len(bag)
+    index = {cat: c for c, cat in enumerate(dict.fromkeys(categories))}
+    label_index = {lbl: j for j, lbl in enumerate(bag.label_space)}
+    counts = np.zeros((len(index) + 1, len(label_index)))
+    np.add.at(
+        counts,
+        (
+            np.fromiter((index[c] for c in categories), dtype=int, count=n),
+            np.fromiter((label_index[y] for y in bag.y), dtype=int, count=n),
+        ),
+        1.0,
+    )
+    return index, counts
 
 
 def _row_key(x: np.ndarray) -> bytes:
