@@ -230,8 +230,8 @@ class ConformalClassifier:
         """Fit the measure and cache per-example scores.
 
         Without ``override`` the new examples are appended to the bag already
-        held and the measure absorbs them through its ``extend`` hook; with
-        it they replace that bag.  Either way the scores equal those of a
+        held; with it they replace that bag.  Either way the measure scores
+        the bag through its ``extend`` hook, so the scores equal those of a
         measure trained from scratch on the resulting bag.
         """
         fresh = override or self._bag is None
@@ -251,12 +251,7 @@ class ConformalClassifier:
                 dtype=int, count=len(merged) - n_old,
             )
             ids = new_ids if fresh else np.concatenate([self._category_ids, new_ids])
-        if fresh:
-            self.measure.train(merged)
-            scores = self.measure.scores(merged, True)
-        else:
-            scores = self.measure.extend(merged, n_old)
-        scores = np.asarray(scores, dtype=float)
+        scores = np.asarray(self.measure.extend(merged, n_old), dtype=float)
         if scores.shape != (len(merged),):
             raise ValueError(f"measure returned {scores.shape}, expected ({len(merged)},)")
         self._bag = merged

@@ -143,19 +143,20 @@ def _k_smallest(sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the k-th smallest squared distance.
 
     sqrt is monotone, so partitioning the squares selects the same k
-    neighbours; the root is only taken for the selected entries.  The roots
-    are summed in C order, so a row's sum does not depend on the other rows
-    of the block.  numpy's selection returns the k smallest in ascending
-    order, so the sum depends only on their values: an entry added at or
-    above the k-th smallest leaves it unchanged, bit for bit.  A row of
-    exactly k entries is summed as it stands and reports an infinite k-th
-    distance: any entry added to it changes the sum.
+    neighbours; the root is only taken for the selected entries.  numpy does
+    not promise any order within the selected part, so it is sorted, and the
+    roots are summed in C order: a row's sum depends only on the values of
+    its k smallest entries, not on the other rows of the block or on the
+    other entries of the row.  An entry added at or above the k-th smallest
+    therefore leaves it unchanged, bit for bit.  A row of exactly k entries
+    is summed as it stands and reports an infinite k-th distance: any entry
+    added to it changes the sum, so it is always scored afresh.
     """
     if k == 1:
         kth = sq.min(axis=1)
         return np.sqrt(kth), kth
     if sq.shape[1] > k:
-        sq = np.partition(sq, k - 1, axis=1)[:, :k]
+        sq = np.sort(np.partition(sq, k - 1, axis=1)[:, :k], axis=1)
         kth = sq[:, k - 1].copy()
     else:
         kth = np.full(sq.shape[0], np.inf)
@@ -250,9 +251,7 @@ def _knn_rows(
     return out
 
 
-def knn_scores(
-    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool, return_kth: bool = False
-):
+def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool) -> np.ndarray:
     """Score each target example as d_k(same label) / d_k(other labels).
 
     d_k is the sum of the k smallest Euclidean distances from the example's
@@ -263,13 +262,17 @@ def knn_scores(
     zero self-distance would swamp every score); exclusion drops one
     zero-distance same-label occurrence, which also lets sub-bags of the
     training bag be scored.  The target is scored in row chunks.
-
-    With ``return_kth`` the result is ``(scores, kth)``: ``kth`` has shape
-    (2, len(target)) and holds each example's k-th smallest same-label and
-    other-label squared distance.  A new training example changes an
-    example's score only if it is strictly closer than the threshold of its
-    group.
     """
+    return _knn_scores_kth(cfg, training, target, is_training_bag)[0]
+
+
+def _knn_scores_kth(
+    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`knn_scores` and, shape (2, len(target)), each example's k-th
+    smallest same-label and other-label squared distance.  A new training
+    example changes an example's score only if it is strictly closer than
+    the threshold of its group."""
     # when the target is the training bag itself, example i is its own column i
     aligned = target is training or (target.x is training.x and target.y == training.y)
     codes, code_of = _label_codes(training.y)
@@ -295,7 +298,7 @@ def knn_scores(
             zero = (sq == 0) & (codes[None, :] == row_codes[:, None])
             own = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
         out[:, idx] = _knn_rows(cfg.k, sq, row_codes, columns, own, [target.y[i] for i in idx])
-    return (out[0], out[1:]) if return_kth else out[0]
+    return out[0], out[1:]
 
 
 def _label_codes(y: Sequence[Label], codes: np.ndarray | None = None, code_of: dict | None = None):
@@ -372,7 +375,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._require_trained()
         if bag is not self._bag or not is_training_bag:
             return knn_scores(self.config, self._bag, bag, is_training_bag)
-        self._fit = knn_scores(self.config, bag, bag, True, return_kth=True)
+        self._fit = _knn_scores_kth(self.config, bag, bag, True)
         return self._fit[0].copy()
 
     def extend(self, bag: Bag, n_old: int) -> np.ndarray:
@@ -434,16 +437,23 @@ def _nearest_label_means(k: int, sq: np.ndarray, labels: np.ndarray) -> tuple[np
 
 
 def knn_regression_coeffs(
-    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool, return_kth: bool = False
-):
+    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients for bag elements: a_i = y_i - mean(k nearest labels), b_i = 0.
 
     Each example is excluded from its own neighbourhood when the target is
-    the training bag; distance ties break by ascending bag index.  With
-    ``return_kth`` the result is ``(a, b, kth)``, where ``kth`` holds each
-    example's k-th smallest squared distance: a new training example enters
-    the neighbourhood of example i only if it is strictly closer than that.
+    the training bag; distance ties break by ascending bag index.
     """
+    a, _ = _knn_regression_coeffs_kth(cfg, training, target, is_training_bag)
+    return a, np.zeros(len(target))
+
+
+def _knn_regression_coeffs_kth(
+    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The a coefficients of :func:`knn_regression_coeffs` and each example's
+    k-th smallest squared distance: a new training example enters the
+    neighbourhood of example i only if it is strictly closer than that."""
     k = cfg.k
     available = len(training) - (1 if is_training_bag else 0)
     if available < k:
@@ -454,8 +464,7 @@ def knn_regression_coeffs(
     if is_training_bag:
         np.fill_diagonal(sq, np.inf)
     means, kth = _nearest_label_means(k, sq, np.asarray(training.y, dtype=float))
-    a = np.asarray(target.y, dtype=float) - means
-    return (a, np.zeros(len(target)), kth) if return_kth else (a, np.zeros(len(target)))
+    return np.asarray(target.y, dtype=float) - means, kth
 
 
 def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tuple[float, float]:
@@ -491,9 +500,8 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         self._require_trained()
         if bag is not self._bag or not is_training_bag:
             return knn_regression_coeffs(self.config, self._bag, bag, is_training_bag)
-        a, b, kth = knn_regression_coeffs(self.config, bag, bag, True, return_kth=True)
-        self._fit = (a, kth)
-        return a.copy(), b
+        self._fit = _knn_regression_coeffs_kth(self.config, bag, bag, True)
+        return self._fit[0].copy(), np.zeros(len(bag))
 
     def extend(self, bag: Bag, n_old: int) -> tuple[np.ndarray, np.ndarray]:
         if self._fit is None or not _continues(self._bag, bag, n_old):

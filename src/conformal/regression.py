@@ -234,9 +234,10 @@ class ConformalRegressor:
     def train(self, bag: Bag, override: bool = False) -> "ConformalRegressor":
         """Fit the coefficient provider and cache the bag's score lines.
 
+        The provider computes the coefficients through its ``extend`` hook.
         Without ``override`` the new examples are appended to the bag already
-        held, the provider absorbs them through its ``extend`` hook, and only
-        the score lines whose coefficients changed are rebuilt.
+        held and only the score lines whose coefficients changed are rebuilt;
+        with it they replace that bag.
         """
         fresh = override or self._bag is None
         merged = bag if fresh else self._bag.append(bag)
@@ -244,11 +245,8 @@ class ConformalRegressor:
             raise ValueError("cannot train on an empty bag")
         if merged.is_classification:
             raise ValueError("the regression predictor needs a regression bag")
-        if fresh:
-            self.provider.train(merged)
-            a, b = self.provider.coeffs(merged, True)
-        else:
-            a, b = self.provider.extend(merged, len(self._bag))
+        n_old = 0 if fresh else len(self._bag)
+        a, b = self.provider.extend(merged, n_old)
         # copies: the next train compares against them
         a = np.array(a, dtype=float)
         b = np.array(b, dtype=float)
@@ -257,7 +255,6 @@ class ConformalRegressor:
         if fresh:
             self._lines = [normalize_line(ai, bi) for ai, bi in zip(a, b)]
         else:
-            n_old = len(self._bag)
             old_a, old_b = self._coeffs
             changed = np.flatnonzero(_bits_differ(a[:n_old], old_a) | _bits_differ(b[:n_old], old_b))
             updates = [(i, normalize_line(a[i], b[i])) for i in changed.tolist()]

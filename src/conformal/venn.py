@@ -58,13 +58,8 @@ class VennTaxonomy(ABC):
         categories the new examples change.
         """
         self.train(bag)
-        return _own_categories(self, bag)
-
-
-def _own_categories(taxonomy: VennTaxonomy, bag: Bag) -> list[Hashable]:
-    """Category of every example of the bag the taxonomy was trained on."""
-    hypotheses = [(y,) for y in bag.y]
-    return [row[0] for row in taxonomy.categories(bag.x, hypotheses, np.ones(len(bag), bool))]
+        hypotheses = [(y,) for y in bag.y]
+        return [row[0] for row in self.categories(bag.x, hypotheses, np.ones(len(bag), bool))]
 
 
 class NearestNeighborTaxonomy(VennTaxonomy):
@@ -224,8 +219,8 @@ class VennPredictor:
         label counts of every category.
 
         Without ``override`` the new examples are appended to the bag already
-        held, the taxonomy absorbs them through its ``extend`` hook, and only
-        the label counts of examples whose category changed are moved.
+        held; with it they replace that bag.  Either way the taxonomy
+        categorises the bag through its ``extend`` hook.
         """
         fresh = override or self._bag is None
         merged = bag if fresh else self._bag.append(bag)
@@ -233,18 +228,11 @@ class VennPredictor:
             raise ValueError("the Venn predictor needs a classification bag")
         if len(merged.label_space) < 2:
             raise ValueError("the label space must hold at least two labels")
-        if fresh:
-            self.taxonomy.train(merged)
-            categories = _own_categories(self.taxonomy, merged)
-        else:
-            categories = self.taxonomy.extend(merged, len(self._bag))
-        if fresh or merged.label_space != self._bag.label_space:
-            index, counts = _label_count_table(categories, merged)
-            observations = {_row_key(x) for x in merged.x}
-        else:
-            index, counts = self._moved_counts(categories, merged)
-            observations = self._observations
-            observations.update(_row_key(x) for x in merged.x[len(self._bag):])
+        n_old = 0 if fresh else len(self._bag)
+        categories = self.taxonomy.extend(merged, n_old)
+        index, counts = _label_count_table(categories, merged)
+        observations = set() if fresh else self._observations
+        observations.update(_row_key(x) for x in merged.x[n_old:])
         self._bag = merged
         self._categories = categories
         self._category_index = index
@@ -330,29 +318,6 @@ class VennPredictor:
         ).reshape(len(X), len(labels))
         counts = self._label_counts[ids] + np.eye(len(labels))
         return counts / counts.sum(axis=2, keepdims=True)
-
-    def _moved_counts(self, categories: list[Hashable], merged: Bag) -> tuple[dict, np.ndarray]:
-        """The label-count table after appending to the bag: the examples
-        whose category changed move their count, the new examples add theirs.
-        A category left empty keeps an all-zero row, which reads the same as
-        the row of an unseen category."""
-        n_old = len(self._bag)
-        old = self._categories
-        label_index = {lbl: j for j, lbl in enumerate(merged.label_space)}
-        index = dict(self._category_index)
-        changes = []  # (category row, label column, count delta)
-        moved = [i for i in range(n_old) if categories[i] != old[i]]
-        for i in moved + list(range(n_old, len(merged))):
-            col = label_index[merged.y[i]]
-            if i < n_old:
-                changes.append((index[old[i]], col, -1))
-            changes.append((index.setdefault(categories[i], len(index)), col, 1))
-        counts = np.zeros((len(index) + 1, len(label_index)))
-        counts[: len(self._category_index)] = self._label_counts[:-1]
-        if changes:
-            rows, cols, deltas = np.array(changes).T
-            np.add.at(counts, (rows, cols), deltas)
-        return index, counts
 
     def _require_trained(self) -> Bag:
         if self._bag is None:

@@ -32,6 +32,7 @@ from conformal import (
     knn_scores,
     label_taxonomy,
 )
+from conformal.ncm import _k_smallest
 
 LABELS = ("A", "B", "C")
 EPSILONS = (0.05, 0.2)
@@ -290,6 +291,39 @@ class TestRegression:
         for eps in EPSILONS:
             misses = sum(not p.contains(eps, y) for p, y in zip(predictions, stream.y))
             assert report.per_epsilon[eps].miss_rate == misses / len(stream)
+
+
+class TestNeighbourSums:
+    @pytest.mark.parametrize("k", [2, 4, 9, 16])
+    def test_sum_depends_only_on_the_k_smallest_values(self, k):
+        # a kept score is only valid if neither the order of a row's entries
+        # nor an entry added at or above its k-th smallest changes the sum
+        rng = np.random.default_rng(k)
+        sq = np.vstack([rng.random((20, 600)), rng.integers(0, 9, (20, 600)).astype(float)])
+        sums, kth = _k_smallest(sq, k)
+        for trial in range(5):
+            perm = rng.permutation(sq.shape[1])
+            assert same_bits(_k_smallest(sq[:, perm], k)[0], sums)
+            extra = kth[:, None] + rng.integers(0, 2, (len(sq), 50)) * rng.random((len(sq), 50))
+            wider = np.hstack([sq, extra])[:, rng.permutation(650)]
+            assert same_bits(_k_smallest(wider, k)[0], sums)
+
+    @pytest.mark.parametrize("k", [3, 4, 9, 16])
+    def test_sum_ignores_the_order_numpy_selects_in(self, monkeypatch, k):
+        # numpy promises only that the k smallest come first, in some order
+        rng = np.random.default_rng(k)
+        sq = rng.random((40, 300))
+        sums, kth = _k_smallest(sq, k)
+        partition = np.partition
+
+        def reversed_selection(a, kth, axis=-1):
+            out = partition(a, kth, axis=axis)
+            out[:, :kth] = out[:, kth - 1::-1].copy()
+            return out
+
+        monkeypatch.setattr(np, "partition", reversed_selection)
+        assert same_bits(_k_smallest(sq, k)[0], sums)
+        assert same_bits(_k_smallest(sq, k)[1], kth)
 
 
 class TestQueryWidth:
