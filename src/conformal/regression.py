@@ -2,18 +2,23 @@
 
 Each stored example's score is a function of the candidate label y.  The set
 of y where example i stays at least as nonconforming as the new example is
-an interval, a point, a ray, two rays, the whole line, or empty.  All finite
-region endpoints are sorted into breakpoints; counting how many regions
-cover each open stretch and each breakpoint gives the p-value plateau
-structure in one sweep (the sort dominates at O(n log n)), instead of
-testing every stretch against every region directly.
+an interval, a point, a ray, two rays, the whole line, or empty.
+``prediction_intervals`` finds every stored line's region at once with
+numpy case masks, sorts the finite region endpoints into breakpoints and
+turns the regions' endpoint deltas into a coverage count for every open
+stretch and every breakpoint with one ``cumsum`` (the sort dominates at
+O(n log n)), instead of testing every stretch against every region
+directly.  The qualifying stretches and breakpoints are merged into
+intervals by their runs.  ``score_region`` is the scalar form of one
+line's region and the reference the tests compare against.  Both raise
+``ValueError`` when a root overflows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,9 +34,11 @@ Region = tuple[tuple[float, float], ...]
 FULL_LINE: Region = ((-INF, INF),)
 EMPTY: Region = ()
 
+_NOT_NORMALIZED = "score lines must be sign-normalized (b >= 0)"
+_OVERFLOW = "a score line root is not finite; the coefficients are too large"
 
-@dataclass(frozen=True)
-class ScoreLine:
+
+class ScoreLine(NamedTuple):
     """Coefficients of one score function ``|a + b*y|``; b >= 0 after normalization."""
 
     a: float
@@ -51,15 +58,18 @@ def score_region(line_i: ScoreLine, line_new: ScoreLine) -> Region:
 
     Both lines must be sign-normalized.  The case b_new == b_i > 0 with
     a_new == a_i is the identical score function, so the inequality holds
-    everywhere and the whole line is returned.
+    everywhere and the whole line is returned.  A root whose denominator or
+    value overflows raises ``ValueError`` instead of giving a wrong region.
     """
     if line_i.b < 0 or line_new.b < 0:
-        raise ValueError("score lines must be sign-normalized (b >= 0)")
+        raise ValueError(_NOT_NORMALIZED)
     ai, bi = line_i.a, line_i.b
     an, bn = line_new.a, line_new.b
     if bn != bi:
         r1 = -(ai - an) / (bi - bn) + 0.0  # + 0.0 folds -0.0 into 0.0
         r2 = -(ai + an) / (bi + bn) + 0.0
+        if not all(map(math.isfinite, (bi + bn, r1, r2))):
+            raise ValueError(_OVERFLOW)
         u, v = min(r1, r2), max(r1, r2)
         if bn > bi:
             return ((u, v),)
@@ -68,85 +78,72 @@ def score_region(line_i: ScoreLine, line_new: ScoreLine) -> Region:
         if an == ai:
             return FULL_LINE
         u = -(ai + an) / (2.0 * bi) + 0.0
+        if not (math.isfinite(2.0 * bi) and math.isfinite(u)):
+            raise ValueError(_OVERFLOW)
         return ((u, INF),) if an < ai else ((-INF, u),)
     return FULL_LINE if abs(an) <= abs(ai) else EMPTY
 
 
-@dataclass
-class Breakpoint:
-    """Sweep node: count deltas applied when passing one breakpoint value.
-
-    Sweeping left to right, the point count at the breakpoint is the
-    preceding stretch count plus ``point_delta``, and the following stretch
-    count is the point count plus ``interval_delta``.
-    """
-
-    value: float
-    interval_delta: int = 0
-    point_delta: int = 0
-
-
-def _sweep_counts(regions: Sequence[Region]) -> tuple[list[float], np.ndarray, np.ndarray]:
+def _coverage_counts(
+    lines: np.ndarray, a_new: float, b_new: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coverage counts per open stretch (N) and per breakpoint (M).
 
-    The new example's own region is the whole line, so counts start at one.
-    Returns (breakpoint values, N, M) with N[j] covering the open stretch
-    after the j-th breakpoint (N[0] is left of all of them) and M[j]
-    covering the j-th breakpoint itself.
+    Every line's region is found with the float expressions of
+    ``score_region``.  A region starting at -inf adds one to the count left
+    of all breakpoints, a finite left end adds one at its breakpoint and a
+    finite right end takes one away after it.  The new example's own region
+    is the whole line, so counts start at one.  Returns (breakpoints, N, M)
+    with N[j] covering the open stretch after the j-th breakpoint (N[0] is
+    left of all of them) and M[j] covering the j-th breakpoint itself.
     """
-    values = sorted(
-        {v for region in regions for piece in region for v in piece if math.isfinite(v)}
-    )
-    index = {v: j for j, v in enumerate(values)}
-    breakpoints = [Breakpoint(v) for v in values]
-    base = 1  # the candidate's own region covers everything
-    for region in regions:
-        for lo, hi in region:
-            if lo == -INF and hi == INF:
-                base += 1
-            elif lo == -INF:
-                base += 1
-                breakpoints[index[hi]].interval_delta -= 1
-            elif hi == INF:
-                breakpoints[index[lo]].point_delta += 1
-            else:
-                breakpoints[index[lo]].point_delta += 1
-                breakpoints[index[hi]].interval_delta -= 1
+    a, b = lines[:, 0], lines[:, 1]
+    if b_new < 0 or (b < 0).any():
+        raise ValueError(_NOT_NORMALIZED)
+    sloped = b != b_new
+    ray = ~sloped & (b > 0) & (a != a_new)  # equal slopes: one ray
+    ai, bi, aj = a[sloped], b[sloped], a[ray]
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = bi + b_new
+        r1 = -(ai - a_new) / (bi - b_new) + 0.0  # + 0.0 folds -0.0 into 0.0
+        r2 = -(ai + a_new) / den + 0.0
+        den_ray = 2.0 * b[ray]
+        w = -(aj + a_new) / den_ray + 0.0
+    if not all(np.isfinite(x).all() for x in (den, r1, r2, den_ray, w)):
+        raise ValueError(_OVERFLOW)
+    u, v = np.minimum(r1, r2), np.maximum(r1, r2)
+    inner = bi < b_new  # [u, v]; otherwise the rays (-inf, u] and [v, inf)
+    rightward = a_new < aj  # [w, inf); otherwise (-inf, w]
+    starts = np.concatenate((u[inner], v[~inner], w[rightward]))
+    ends = np.concatenate((v[inner], u[~inner], w[~rightward]))
+    full = ~sloped & np.where(b > 0, a == a_new, abs(a_new) <= np.abs(a))
+    base = 1 + np.count_nonzero(full) + np.count_nonzero(~inner) + np.count_nonzero(~rightward)
+
+    values = np.concatenate((starts, ends))
+    values.sort()
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    values = values[first]
     m = len(values)
-    interval_counts = np.empty(m + 1, dtype=int)
-    point_counts = np.empty(m, dtype=int)
-    running = base
-    interval_counts[0] = running
-    for j, bp in enumerate(breakpoints):
-        point_counts[j] = running + bp.point_delta
-        running = point_counts[j] + bp.interval_delta
-        interval_counts[j + 1] = running
-    return values, interval_counts, point_counts
+    up = np.bincount(np.searchsorted(values, starts), minlength=m)
+    down = np.bincount(np.searchsorted(values, ends), minlength=m)
+    interval_counts = base + np.concatenate(([0], np.cumsum(up - down)))
+    return values, interval_counts, interval_counts[:-1] + up
 
 
-def _merge_included(values: list[float], n_ok: np.ndarray, m_ok: np.ndarray) -> Region:
-    """Merge qualifying stretches and breakpoints into closed intervals."""
-    m = len(values)
-    atoms: list[tuple[bool, float, float]] = [
-        (bool(n_ok[0]), -INF, values[0] if m else INF)
-    ]
-    for j in range(m):
-        atoms.append((bool(m_ok[j]), values[j], values[j]))
-        atoms.append((bool(n_ok[j + 1]), values[j], values[j + 1] if j + 1 < m else INF))
-    pieces: list[tuple[float, float]] = []
-    start = None
-    last_right = None
-    for ok, left, right in atoms:
-        if ok:
-            if start is None:
-                start = left
-            last_right = right
-        elif start is not None:
-            pieces.append((start, last_right))
-            start = None
-    if start is not None:
-        pieces.append((start, last_right))
-    return tuple(pieces)
+def _qualifying_runs(values: np.ndarray, n_ok: np.ndarray, m_ok: np.ndarray) -> Region:
+    """Merge runs of qualifying stretches and breakpoints into closed intervals.
+
+    The atoms in order are stretch 0, breakpoint 0, stretch 1, ...; atom t
+    spans edges[(t + 1) // 2] to edges[t // 2 + 1].
+    """
+    edges = np.concatenate(([-INF], values, [INF]))
+    ok = np.zeros(2 * len(values) + 3, dtype=bool)  # False-padded atoms
+    ok[1:-1:2] = n_ok
+    ok[2:-1:2] = m_ok
+    flips = np.flatnonzero(ok[1:] != ok[:-1])
+    first, last = flips[0::2], flips[1::2] - 1
+    return tuple(zip(edges[(first + 1) // 2].tolist(), edges[last // 2 + 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ class PredictionIntervals:
 
 
 def prediction_intervals(
-    lines: Sequence[ScoreLine],
+    lines: Sequence[ScoreLine] | np.ndarray,
     line_new: ScoreLine,
     epsilons: Sequence[float],
     convex_hull: bool = True,
@@ -185,16 +182,18 @@ def prediction_intervals(
     A stretch or breakpoint qualifies at level eps when its coverage count
     (the stored regions covering it, plus the candidate's own) exceeds
     eps * (n + 1).  With ``convex_hull`` the union is replaced by its
-    envelope, trading possible holes for a single interval.
+    envelope, trading possible holes for a single interval.  ``lines`` is a
+    sequence of sign-normalized lines or an (n, 2) array of their (a, b).
     """
     eps = check_epsilons(epsilons)
-    regions = [score_region(line, line_new) for line in lines]
-    values, interval_counts, point_counts = _sweep_counts(regions)
-    total = len(lines) + 1
+    store = np.asarray(lines, dtype=float).reshape(len(lines), 2)
+    a_new, b_new = map(float, line_new)
+    values, interval_counts, point_counts = _coverage_counts(store, a_new, b_new)
+    total = len(store) + 1
     per: dict[float, Region] = {}
     for e in eps:
         cut = e * total
-        pieces = _merge_included(values, interval_counts > cut, point_counts > cut)
+        pieces = _qualifying_runs(values, interval_counts > cut, point_counts > cut)
         if convex_hull and pieces:
             pieces = ((pieces[0][0], pieces[-1][1]),)
         per[e] = pieces
@@ -223,9 +222,8 @@ class ConformalRegressor:
         self.provider = provider
         self.config = config
         self._bag: Bag | None = None
-        self._lines: list[ScoreLine] | None = None
-        # the provider's coefficients behind _lines, to spot the changed ones
-        self._coeffs: tuple[np.ndarray, np.ndarray] | None = None
+        # (n, 2): the sign-normalized (a, b) of each example's score line
+        self._lines: np.ndarray | None = None
 
     @property
     def bag(self) -> Bag | None:
@@ -236,8 +234,8 @@ class ConformalRegressor:
 
         The provider computes the coefficients through its ``extend`` hook.
         Without ``override`` the new examples are appended to the bag already
-        held and only the score lines whose coefficients changed are rebuilt;
-        with it they replace that bag.
+        held; with it they replace that bag.  Non-finite coefficients raise
+        ``ValueError`` before any state changes.
         """
         fresh = override or self._bag is None
         merged = bag if fresh else self._bag.append(bag)
@@ -247,23 +245,15 @@ class ConformalRegressor:
             raise ValueError("the regression predictor needs a regression bag")
         n_old = 0 if fresh else len(self._bag)
         a, b = self.provider.extend(merged, n_old)
-        # copies: the next train compares against them
-        a = np.array(a, dtype=float)
-        b = np.array(b, dtype=float)
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
         if a.shape != (len(merged),) or b.shape != (len(merged),):
             raise ValueError("provider returned malformed coefficient vectors")
-        if fresh:
-            self._lines = [normalize_line(ai, bi) for ai, bi in zip(a, b)]
-        else:
-            old_a, old_b = self._coeffs
-            changed = np.flatnonzero(_bits_differ(a[:n_old], old_a) | _bits_differ(b[:n_old], old_b))
-            updates = [(i, normalize_line(a[i], b[i])) for i in changed.tolist()]
-            tail = [normalize_line(ai, bi) for ai, bi in zip(a[n_old:], b[n_old:])]
-            for i, line in updates:
-                self._lines[i] = line
-            self._lines.extend(tail)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("score line coefficients must be finite")
+        lines = np.column_stack((a, b))
+        self._lines = np.where((b < 0)[:, None], -lines, lines)  # see normalize_line
         self._bag = merged
-        self._coeffs = (a, b)
         return self
 
     def predict(self, X) -> list[PredictionIntervals]:
@@ -310,15 +300,10 @@ class ConformalRegressor:
             return IntervalReport(zero, 0)
         return _interval_report(predictions, stream.y, self.config.epsilons)
 
-    def _require_trained(self) -> list[ScoreLine]:
+    def _require_trained(self) -> np.ndarray:
         if self._lines is None:
             raise ValueError("predictor is not trained")
         return self._lines
-
-
-def _bits_differ(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Elementwise: the floats differ, telling -0.0 from 0.0."""
-    return (new != old) | (np.signbit(new) != np.signbit(old))
 
 
 def _interval_report(predictions, truths, epsilons) -> IntervalReport:

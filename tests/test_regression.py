@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import direct_membership_union, linear_regression_bag
 from conformal import (
@@ -11,6 +13,7 @@ from conformal import (
     KnnRegressionProvider,
     RrcmConfig,
     ScoreLine,
+    knn_regression_coeffs,
     normalize_line,
     prediction_intervals,
     score_region,
@@ -63,6 +66,27 @@ class TestScoreRegion:
     def test_negative_b_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             score_region(ScoreLine(0.0, -1.0), ScoreLine(0.0, 1.0))
+        with pytest.raises(ValueError, match="normalized"):
+            prediction_intervals([ScoreLine(0.0, -1.0)], ScoreLine(0.0, 1.0), (0.1,))
+
+    @pytest.mark.parametrize("line_i", [(1e308, 1e308), (1e308, 0.5e308)])
+    def test_root_overflow_rejected(self, line_i):
+        # unchecked, the roots come out as NaN and -inf, and the regions
+        # silently lose y = -1 and [-1.43, 0) respectively
+        line_i, line_new = normalize_line(*line_i), normalize_line(1e308, 0.9e308)
+        with pytest.raises(ValueError, match="root is not finite"):
+            score_region(line_i, line_new)
+        for hull in (False, True):
+            with pytest.raises(ValueError, match="root is not finite"):
+                prediction_intervals([ScoreLine(0.0, 0.0), line_i], line_new, (0.1,), hull)
+
+    def test_equal_slope_overflow_rejected(self):
+        # unchecked, 2 * b overflows and puts the root at 0.0 instead of -0.75
+        line_i, line_new = ScoreLine(1e308, 1e308), ScoreLine(0.5e308, 1e308)
+        with pytest.raises(ValueError, match="root is not finite"):
+            score_region(line_i, line_new)
+        with pytest.raises(ValueError, match="root is not finite"):
+            prediction_intervals([line_i], line_new, (0.1,))
 
     def test_normalization_preserves_scores(self):
         rng = np.random.default_rng(2)
@@ -159,6 +183,55 @@ class TestPredictionIntervals:
                     assert ghi == pytest.approx(whi, abs=1e-9)
 
 
+GRID_LINE = st.builds(
+    lambda a, b: normalize_line(a / 10, b / 10), st.integers(-30, 30), st.integers(-20, 20)
+)
+
+
+@st.composite
+def sweep_instances(draw):
+    """Grid lines with b = 0 lines, repeated lines and a new line that may equal a stored one."""
+    lines = draw(st.lists(GRID_LINE | st.just(normalize_line(0.5, 0.0)), max_size=14))
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=4))
+        new = draw(GRID_LINE | st.sampled_from(lines))
+    else:
+        new = draw(GRID_LINE)
+    eps = draw(st.lists(st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.75]), min_size=1, max_size=4,
+                        unique=True))
+    return lines, new, tuple(sorted(eps))
+
+
+def _inside(inner, outer):
+    return all(any(lo <= ilo and ihi <= hi for lo, hi in outer) for ilo, ihi in inner)
+
+
+class TestSweepProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_instances(), st.booleans())
+    def test_equals_membership_oracle_exactly(self, instance, hull):
+        lines, new, eps = instance
+        got = prediction_intervals(lines, new, eps, hull)
+        for e in eps:
+            assert got.intervals_at(e) == tuple(direct_membership_union(lines, new, e, hull))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_instances(), st.booleans())
+    def test_nested_across_epsilons(self, instance, hull):
+        lines, new, eps = instance
+        got = prediction_intervals(lines, new, eps, hull)
+        for small, large in zip(eps, eps[1:]):
+            assert _inside(got.intervals_at(large), got.intervals_at(small))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_instances().flatmap(
+        lambda inst: st.tuples(st.just(inst), st.permutations(inst[0]))), st.booleans())
+    def test_invariant_under_permutation(self, drawn, hull):
+        (lines, new, eps), permuted = drawn
+        assert prediction_intervals(permuted, new, eps, hull) == prediction_intervals(
+            lines, new, eps, hull)
+
+
 class TestConformalRegressor:
     def _predictor(self, epsilons=(0.1, 0.3), convex_hull=True, k=1):
         return ConformalRegressor(
@@ -207,6 +280,18 @@ class TestConformalRegressor:
         report = predictor.score_online(linear_regression_bag(300, seed=9))
         assert len(predictor.bag) == 320
         assert 0.03 <= report.per_epsilon[0.1].miss_rate <= 0.17
+
+    def test_predict_equals_sweep_over_normalized_lines(self):
+        # n = 2000: the array-held store against a list of normalize_line lines
+        eps = (0.05, 0.1, 0.2)
+        bag = linear_regression_bag(2000, seed=10)
+        predictor = self._predictor(epsilons=eps, convex_hull=False, k=3).train(bag)
+        a, b = knn_regression_coeffs(KnnConfig(k=3), bag, bag, True)
+        lines = [normalize_line(ai, bi) for ai, bi in zip(a, b)]
+        x_test = linear_regression_bag(8, seed=11).x
+        for x, got in zip(x_test, predictor.predict(x_test)):
+            new = normalize_line(*predictor.provider.coeffs_n(x))
+            assert got == prediction_intervals(lines, new, eps, convex_hull=False)
 
     def test_empty_test_rejected(self):
         predictor = self._predictor().train(linear_regression_bag(10, seed=1))

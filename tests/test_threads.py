@@ -1,0 +1,60 @@
+"""Concurrent ``predict`` / ``p_values`` on one trained instance.
+
+The CP and RRCM docstrings say a trained instance may serve concurrent
+prediction calls (CP callers each bring their own ``SeededRng``).  Four
+threads share one instance here, with a short switch interval so that
+they interleave inside the calls, and must give the serial results.
+"""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from _support import gaussian_blobs, linear_regression_bag
+from conformal import (
+    ConformalClassifier,
+    ConformalRegressor,
+    CpConfig,
+    KnnClassifierMeasure,
+    KnnConfig,
+    KnnRegressionProvider,
+    RrcmConfig,
+    SeededRng,
+)
+
+THREADS = 4
+ROUNDS = 3
+
+
+def run_concurrently(task):
+    """``task(i)`` on THREADS threads at once, ROUNDS times each; results by thread."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            futures = [[pool.submit(task, i) for i in range(THREADS)] for _ in range(ROUNDS)]
+            return [[f.result(timeout=60) for f in row] for row in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_regressor_predict_concurrently():
+    predictor = ConformalRegressor(
+        KnnRegressionProvider(KnnConfig(k=3)), RrcmConfig((0.05, 0.2), convex_hull=False)
+    ).train(linear_regression_bag(400, seed=30))
+    queries = [linear_regression_bag(6, seed=31 + i).x for i in range(THREADS)]
+    serial = [predictor.predict(q) for q in queries]
+    for row in run_concurrently(lambda i: predictor.predict(queries[i])):
+        assert row == serial
+
+
+def test_classifier_p_values_concurrently():
+    cp = ConformalClassifier(
+        KnnClassifierMeasure(KnnConfig(k=3)), CpConfig(epsilons=(0.05, 0.2), smoothed=True)
+    ).train(gaussian_blobs(300, seed=40))
+    queries = [gaussian_blobs(20, seed=41 + i).x for i in range(THREADS)]
+    serial = [cp.p_values(q, SeededRng(50 + i)).values for i, q in enumerate(queries)]
+    for row in run_concurrently(lambda i: cp.p_values(queries[i], SeededRng(50 + i)).values):
+        for got, want in zip(row, serial):
+            assert np.array_equal(got, want)
