@@ -1,13 +1,15 @@
-"""Conformal classifier over a full bag.
+"""Conformal classifiers over a sorted store of reference scores.
 
-The default "offline" mode caches one nonconformity score per training
-example and, at prediction time, counts how many cached scores are at least
-as large as the candidate's score (the candidate itself is accounted for
-analytically by the +1 terms).  The "transductive-exact" mode instead
-re-scores the whole augmented bag for every candidate label, which is
-quadratic and meant for small bags and oracle checks.  Both support
-smoothing, category-conditional counting via a taxonomy, best-label
-prediction, and online scoring.
+Both classifiers keep one nonconformity score per reference example, sorted
+per taxonomy category, and count at prediction time how many stored scores
+are at least as large as the candidate's score.  The transductive
+classifier's reference set is its training bag (the candidate itself is
+accounted for analytically by the +1 terms); the inductive classifier of
+``icp.py`` counts against a held-out calibration bag instead.  Both support
+smoothing, category-conditional counting via a taxonomy and best-label
+prediction.  The transductive classifier also scores online and, for small
+bags and oracle checks, gives exact p-values that re-score the whole
+augmented bag for every candidate label.
 """
 
 from __future__ import annotations
@@ -41,22 +43,14 @@ def label_taxonomy(x, y):
 
 @dataclass(frozen=True)
 class CpConfig:
-    """Settings for the conformal classifier.
-
-    Mode "offline" counts a candidate's score against the scores cached at
-    training time; "transductive-exact" re-scores the augmented bag per
-    candidate label.
-    """
+    """Settings for the conformal classifier."""
 
     epsilons: tuple[float, ...]
     smoothed: bool = False
     taxonomy: Taxonomy | None = None
-    mode: str = "offline"
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", check_epsilons(self.epsilons))
-        if self.mode not in ("offline", "transductive-exact"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -152,12 +146,19 @@ def category_p_values(
     return vals.reshape(m, n_labels), empty.reshape(m, n_labels)
 
 
+def _checked_scores(scores, shape: tuple[int, ...]) -> np.ndarray:
+    """A measure's scores as floats, checked for shape and finiteness."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != shape:
+        raise ValueError(f"measure returned {scores.shape}, expected {shape}")
+    if not np.isfinite(scores).all():
+        raise ValueError("measure returned non-finite scores")
+    return scores
+
+
 def _score_matrix(measure: NonconformityMeasure, X: np.ndarray, labels: Sequence[Label]) -> np.ndarray:
-    """The measure's (rows, labels) score matrix, shape-checked."""
-    alpha = np.asarray(measure.score_matrix(X, labels), dtype=float)
-    if alpha.shape != (X.shape[0], len(labels)):
-        raise ValueError(f"measure returned {alpha.shape}, expected {(X.shape[0], len(labels))}")
-    return alpha
+    """The measure's (rows, labels) score matrix, checked."""
+    return _checked_scores(measure.score_matrix(X, labels), (X.shape[0], len(labels)))
 
 
 def _draw_taus(smoothed: bool, rows: int, cols: int, rng: SeededRng | None) -> np.ndarray | None:
@@ -204,27 +205,104 @@ def zero_report(epsilons: Sequence[float]) -> ValidityReport:
     return ValidityReport({e: EpsilonStats(0.0, 0.0, 0.0, 0.0) for e in epsilons}, 0)
 
 
-class ConformalClassifier:
-    """Set-valued classifier: a label is predicted when its p-value exceeds epsilon.
+class ScoreStoreClassifier:
+    """Read path shared by the transductive and inductive classifiers.
 
-    A trained instance is immutable and may serve concurrent ``predict`` /
+    A subclass keeps one score per reference example through
+    :meth:`_keep_scores`, which holds them sorted per taxonomy category, and
+    counts candidates against that store with :meth:`_count`.  A trained
+    instance is immutable and may serve concurrent ``predict`` /
     ``p_values`` / ``score`` calls as long as each caller supplies its own
-    :class:`SeededRng`; ``train`` and ``score_online`` need exclusive access.
+    :class:`SeededRng`; the methods that change the store need exclusive
+    access.
     """
 
-    def __init__(self, measure: NonconformityMeasure, config: CpConfig):
+    def __init__(self, measure: NonconformityMeasure, config):
         self.measure = measure
         self.config = config
         self._bag: Bag | None = None
-        self._by_category: dict[Hashable, np.ndarray] = {}
-        # taxonomy category of every bag example, as an index into _category_keys
-        self._category_ids: np.ndarray | None = None
+        # {category: sorted scores}, built from the reference scores in
+        # order and each reference example's category id, an index into
+        # _category_keys (ids are None without a taxonomy)
+        self._store: dict[Hashable, np.ndarray] = {}
+        self._scores = _NO_SCORES
+        self._category_ids: np.ndarray | None = np.empty(0, dtype=int)
         self._category_keys: dict[Hashable, int] = {}
 
     @property
     def bag(self) -> Bag | None:
         """The bag the classifier is currently trained on."""
         return self._bag
+
+    def predict(self, X, rng: SeededRng | None = None) -> list[PredictionSet]:
+        """Nested prediction sets at every configured significance level."""
+        return sets_from_p_values(self.p_values(X, rng), self.config.epsilons)
+
+    def predict_best(self, X, with_significance: bool = True, rng: SeededRng | None = None):
+        """Single best label per row, optionally with its significance level."""
+        labels, sig = best_from_p_values(self.p_values(X, rng))
+        return (labels, sig) if with_significance else labels
+
+    def score(self, test: Bag, rng: SeededRng | None = None) -> ValidityReport:
+        """Validity and efficiency of batch predictions on a test bag."""
+        bag = _require_trained(self._bag)
+        if len(test) == 0:
+            raise ValueError("empty test bag")
+        check_labels_known(test, bag.label_space)
+        sets = self.predict(test.x, rng)
+        return validity_report(sets, test.y, self.config.epsilons)
+
+    def _count(self, X, rng: SeededRng | None, include_test: bool):
+        """Counted p-values of every (observation, candidate label) pair, the
+        flags of pairs whose category holds no scores, and the labels.
+
+        With smoothing, one tie-breaking draw is taken per pair, row-major in
+        label-space order, from the caller's stream.
+        """
+        bag = _require_trained(self._bag)
+        X = check_observations(X, bag.n_features)
+        labels = bag.label_space
+        taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
+        if len(bag) == 0:
+            # every category is empty; the candidate only ties with itself
+            alpha = np.zeros((X.shape[0], len(labels)))
+        else:
+            alpha = _score_matrix(self.measure, X, labels)
+        vals, empty = category_p_values(
+            self._store, self.config.taxonomy, X, labels, alpha, taus, include_test
+        )
+        return vals, empty, labels
+
+    def _categorise(self, x: np.ndarray, y: Sequence[Label], fresh: bool):
+        """Category ids of the reference examples followed by those of the
+        new examples (x, y), and the id of every category.  Only the new
+        examples meet the taxonomy; ``fresh`` drops the held ones."""
+        taxonomy = self.config.taxonomy
+        if taxonomy is None:
+            return None, {}
+        keys = {} if fresh else dict(self._category_keys)
+        new_ids = np.fromiter(
+            (keys.setdefault(taxonomy(xi, yi), len(keys)) for xi, yi in zip(x, y)),
+            dtype=int, count=len(x),
+        )
+        return (new_ids if fresh else np.concatenate([self._category_ids, new_ids])), keys
+
+    def _keep_scores(self, scores: np.ndarray, categorised) -> None:
+        """Hold one score per reference example as the sorted store;
+        ``categorised`` is what :meth:`_categorise` returned for them."""
+        ids, keys = categorised
+        if ids is None:
+            store = {_SINGLE_CATEGORY: np.sort(scores)}
+        else:
+            store = {cat: np.sort(scores[ids == c]) for cat, c in keys.items()}
+        self._scores, self._category_ids, self._category_keys = scores, ids, keys
+        self._store = store
+
+
+class ConformalClassifier(ScoreStoreClassifier):
+    """Set-valued classifier: a label is predicted when its p-value exceeds
+    epsilon, counted against the scores of the training bag; ``config`` is a
+    :class:`CpConfig`."""
 
     def train(self, bag: Bag, override: bool = False) -> "ConformalClassifier":
         """Fit the measure and cache per-example scores.
@@ -241,25 +319,16 @@ class ConformalClassifier:
         if len(merged) and not merged.is_classification:
             raise ValueError("the conformal classifier needs a classification bag")
         n_old = 0 if fresh else len(self._bag)
-        keys = {} if fresh else dict(self._category_keys)
-        taxonomy = self.config.taxonomy
-        ids = None
-        if taxonomy is not None:
-            new_ids = np.fromiter(
-                (keys.setdefault(taxonomy(x, y), len(keys))
-                 for x, y in zip(merged.x[n_old:], merged.y[n_old:])),
-                dtype=int, count=len(merged) - n_old,
-            )
-            ids = new_ids if fresh else np.concatenate([self._category_ids, new_ids])
-        scores = np.asarray(self.measure.extend(merged, n_old), dtype=float)
-        if scores.shape != (len(merged),):
-            raise ValueError(f"measure returned {scores.shape}, expected ({len(merged)},)")
+        categorised = self._categorise(merged.x[n_old:], merged.y[n_old:], fresh)
+        try:
+            scores = _checked_scores(self.measure.extend(merged, n_old), (len(merged),))
+        except ValueError:
+            if self._bag is not None:
+                # the measure may have absorbed the rejected examples
+                self.measure.train(self._bag)
+            raise
         self._bag = merged
-        self._category_ids, self._category_keys = ids, keys
-        if taxonomy is None:
-            self._by_category = {_SINGLE_CATEGORY: np.sort(scores)}
-        else:
-            self._by_category = {cat: np.sort(scores[ids == c]) for cat, c in keys.items()}
+        self._keep_scores(scores, categorised)
         return self
 
     def p_values(self, X, rng: SeededRng | None = None) -> PValueTable:
@@ -268,51 +337,48 @@ class ConformalClassifier:
         With smoothing, one tie-breaking draw is taken per pair, row-major in
         label-space order, from the caller's stream.
         """
+        vals, _, labels = self._count(X, rng, include_test=True)
+        return PValueTable(vals, labels)
+
+    def exact_p_values(self, X, rng: SeededRng | None = None) -> PValueTable:
+        """p-values by the transductive definition: for every candidate label
+        the measure is retrained on the bag augmented with the candidate, and
+        the candidate's score is counted among all scores of that bag (of its
+        category, with a taxonomy).  Quadratic; meant for small bags and
+        oracle checks.  Tie-breaking draws are taken as by ``p_values``.
+        """
         bag = _require_trained(self._bag)
         X = check_observations(X, bag.n_features)
         labels = bag.label_space
         taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
-        if self.config.mode == "transductive-exact":
-            rows = [
-                self._exact_row(x, None if taus is None else taus[i])
-                for i, x in enumerate(X)
-            ]
-            vals = np.vstack(rows) if rows else np.empty((0, len(labels)))
-            return PValueTable(vals, labels)
-        if len(bag) == 0:
-            # every category is empty; the candidate only ties with itself
-            alpha = np.zeros((X.shape[0], len(labels)))
-        else:
-            alpha = _score_matrix(self.measure, X, labels)
-        vals, _ = category_p_values(self._by_category, self.config.taxonomy, X, labels, alpha, taus)
+        taxonomy = self.config.taxonomy
+        measure = copy.deepcopy(self.measure)
+        vals = np.empty((X.shape[0], len(labels)))
+        for i, x in enumerate(X):
+            for j, y in enumerate(labels):
+                augmented = bag.append(Bag.classification(x[None, :], (y,), labels))
+                if len(augmented) == 1:
+                    # empty reference bag: the candidate only ties with itself
+                    gt, eq, total = 0, 1, 1
+                else:
+                    measure.train(augmented)
+                    scores = _checked_scores(measure.scores(augmented, True), (len(augmented),))
+                    alpha_new = scores[-1]
+                    if taxonomy is not None:
+                        # the bag examples of the candidate's category, then the candidate
+                        cat = self._category_keys.get(taxonomy(x, y), -1)
+                        scores = scores[np.append(self._category_ids, cat) == cat]
+                    gt = int((scores > alpha_new).sum())
+                    eq = int((scores == alpha_new).sum())
+                    total = len(scores)
+                tau = 1.0 if taus is None else taus[i, j]  # exact on these small counts
+                vals[i, j] = (gt + tau * eq) / total
         return PValueTable(vals, labels)
 
-    def predict(self, X, rng: SeededRng | None = None) -> list[PredictionSet]:
-        """Nested prediction sets at every configured significance level."""
-        return sets_from_p_values(self.p_values(X, rng), self.config.epsilons)
-
-    def predict_best(self, X, with_significance: bool = True, rng: SeededRng | None = None):
-        """Single best label per row, optionally with its significance level."""
-        labels, sig = best_from_p_values(self.p_values(X, rng))
-        return (labels, sig) if with_significance else labels
-
     def predict_transductive_exact(self, x, rng: SeededRng | None = None) -> PredictionSet:
-        """Exact prediction set for one observation, re-scoring the augmented bag."""
-        bag = _require_trained(self._bag)
-        x = check_observations(np.asarray(x, dtype=float)[None, :], bag.n_features)[0]
-        taus = _draw_taus(self.config.smoothed, 1, len(bag.label_space), rng)
-        row = self._exact_row(x, None if taus is None else taus[0])
-        table = PValueTable(row[None, :], bag.label_space)
+        """Exact prediction set for one observation, from :meth:`exact_p_values`."""
+        table = self.exact_p_values(np.asarray(x, dtype=float)[None, :], rng)
         return sets_from_p_values(table, self.config.epsilons)[0]
-
-    def score(self, test: Bag, rng: SeededRng | None = None) -> ValidityReport:
-        """Validity and efficiency of batch predictions on a test bag."""
-        bag = _require_trained(self._bag)
-        if len(test) == 0:
-            raise ValueError("empty test bag")
-        check_labels_known(test, bag.label_space)
-        sets = self.predict(test.x, rng)
-        return validity_report(sets, test.y, self.config.epsilons)
 
     def score_online(self, stream: Bag, rng: SeededRng | None = None, return_p_values: bool = False):
         """Predict each stream element, record the outcome, then absorb it.
@@ -341,35 +407,3 @@ class ConformalClassifier:
         else:
             report = zero_report(self.config.epsilons)
         return (report, np.array(true_p)) if return_p_values else report
-
-    # -- internals ---------------------------------------------------------
-
-    def _exact_row(self, x: np.ndarray, taus_row: np.ndarray | None) -> np.ndarray:
-        bag = self._bag
-        labels = bag.label_space
-        taxonomy = self.config.taxonomy
-        measure = copy.deepcopy(self.measure)
-        out = np.empty(len(labels))
-        for j, y in enumerate(labels):
-            augmented = bag.append(Bag.classification(x[None, :], (y,), labels))
-            if len(augmented) == 1:
-                # empty reference bag: the candidate only ties with itself
-                gt, eq, total = 0, 1, 1
-            else:
-                measure.train(augmented)
-                scores = np.asarray(measure.scores(augmented, True), dtype=float)
-                alpha_new = scores[-1]
-                if taxonomy is not None:
-                    cats = np.array(
-                        [taxonomy(xx, yy) for xx, yy in zip(augmented.x, augmented.y)],
-                        dtype=object,
-                    )
-                    scores = scores[cats == cats[-1]]
-                gt = int((scores > alpha_new).sum())
-                eq = int((scores == alpha_new).sum())
-                total = len(scores)
-            if taus_row is None:
-                out[j] = (gt + eq) / total
-            else:
-                out[j] = (gt + taus_row[j] * eq) / total
-        return out

@@ -222,7 +222,7 @@ def _label_columns(codes: np.ndarray) -> tuple[dict, np.ndarray]:
 
 
 def _knn_rows(
-    k: int, sq: np.ndarray, row_codes: np.ndarray, columns: tuple, own: np.ndarray, labels
+    k: int, sq: np.ndarray, row_codes: np.ndarray, columns: tuple, own: np.ndarray | None, labels
 ) -> np.ndarray:
     """Scores of target rows from their squared distances ``sq`` to the bag.
 
@@ -230,24 +230,36 @@ def _knn_rows(
     same-label and other-label squared distance.  ``row_codes`` are the
     rows' label codes (-1: a label the bag lacks) and ``columns`` the bag's
     :func:`_label_columns`; ``own[i] >= 0`` is the bag column of row i
-    itself, left out of its same-label group; ``labels[i]`` names row i in
-    errors.  Every caller scores a row with this code, so a row's score is
+    itself, left out of its same-label group (``own`` None: no row is in
+    the bag); ``labels[i]`` names row i in errors.  Every caller scores a row with this code, so a row's score is
     the same bits whichever block or chunk it comes in.
     """
     groups, rank = columns
     out = np.empty((3, sq.shape[0]))
-    for code in sorted(set(row_codes.tolist())):
-        rows = np.flatnonzero(row_codes == code)
-        same, other = groups.get(code, (rank[:0], np.arange(sq.shape[1])))
-        block = sq if len(rows) == len(sq) else sq[rows]
+    present = sorted(set(row_codes.tolist()))
+    for code in present:
+        if len(present) == 1:
+            # the common block of a single label: all rows, no index arrays
+            rows, first = slice(None), 0
+        else:
+            rows = np.flatnonzero(row_codes == code)
+            first = rows[0]
+        if code in groups:
+            same, other = groups[code]
+        else:
+            same, other = rank[:0], np.arange(sq.shape[1])
+        block = sq[rows]
         same_sq = block[:, same]
-        cols = own[rows]
-        has_own = cols >= 0
-        same_sq[has_own, rank[cols[has_own]]] = np.inf
-        _check_neighbours(k, labels[rows[0]], len(same) - int(has_own.any()), len(other))
-        num, same_kth = _k_smallest(same_sq, k)
-        den, other_kth = _k_smallest(block[:, other], k)
-        out[:, rows] = _ratio_scores(num, den), same_kth, other_kth
+        n_same = len(same)
+        if own is not None:
+            cols = own[rows]
+            has_own = cols >= 0
+            same_sq[has_own, rank[cols[has_own]]] = np.inf
+            n_same -= int(has_own.any())
+        _check_neighbours(k, labels[first], n_same, len(other))
+        num, out[1, rows] = _k_smallest(same_sq, k)
+        den, out[2, rows] = _k_smallest(block[:, other], k)
+        out[0, rows] = _ratio_scores(num, den)
     return out
 
 
@@ -290,7 +302,7 @@ def _knn_scores_kth(
         sq = _sq_dists_to(target.x[idx], bag_rows)
         row_codes = target_codes[idx]
         if not is_training_bag:
-            own = np.full(len(idx), -1)
+            own = None
         elif aligned:
             own = idx
         else:
@@ -312,41 +324,13 @@ def _label_codes(y: Sequence[Label], codes: np.ndarray | None = None, code_of: d
     return (fresh if codes is None else np.concatenate([codes, fresh])), code_of
 
 
-def _same_label_masks(
-    k: int, codes: np.ndarray, code_of: dict, label_space: Sequence[Label]
-) -> list[np.ndarray]:
-    """Per candidate label, which bag examples share it; checks both groups hold k."""
-    masks = []
-    for lbl in label_space:
-        same = codes == code_of.get(lbl, -1)
-        n_same = int(same.sum())
-        _check_neighbours(k, lbl, n_same, len(codes) - n_same)
-        masks.append(same)
-    return masks
-
-
-def _knn_block_scores(k: int, bag_x: np.ndarray, masks: list[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Scores of every (row of X, candidate label) pair from one distance block
-    per row chunk; ``masks[j]`` selects the bag examples labelled like candidate j."""
-    X = check_observations(X, bag_x.shape[1])
-    out = np.empty((X.shape[0], len(masks)))
-    others = [~same for same in masks]
-    bag_rows = _feature_rows(bag_x)
-    for rows in _row_chunks(X.shape[0], bag_x.shape[0]):
-        sq = _sq_dists_to(X[rows], bag_rows)
-        for j, (same, other) in enumerate(zip(masks, others)):
-            out[rows, j] = _ratio_scores(_k_smallest(sq[:, same], k)[0], _k_smallest(sq[:, other], k)[0])
-    return out
-
-
 def knn_score_per_label(
     cfg: KnnConfig, training: Bag, x: np.ndarray, label_space: Sequence[Label]
 ) -> np.ndarray:
     """Scores for a new observation paired with each candidate label in order."""
-    if len(training) == 0:
-        raise ValueError("empty training bag")
-    masks = _same_label_masks(cfg.k, *_label_codes(training.y), label_space)
-    return _knn_block_scores(cfg.k, training.x, masks, np.asarray(x, dtype=float)[None, :])[0]
+    measure = KnnClassifierMeasure(cfg)
+    measure.train(training)
+    return measure.score(x, label_space)
 
 
 class KnnClassifierMeasure(NonconformityMeasure):
@@ -363,12 +347,14 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._bag: Bag | None = None
         self._codes: np.ndarray | None = None
         self._code_of: dict = {}
+        self._columns: tuple | None = None  # _label_columns of _codes
         # (scores, kth) of the training bag, once it has been scored
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
         self._codes, self._code_of = _label_codes(bag.y)
+        self._columns = _label_columns(self._codes)
         self._fit = None
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
@@ -409,7 +395,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         kth = np.concatenate([old_kth, np.empty((2, n - n_old))], axis=1)
         scores[rows] = fresh[0]
         kth[:, rows] = fresh[1:]
-        self._bag, self._codes, self._code_of = bag, codes, code_of
+        self._bag, self._codes, self._code_of, self._columns = bag, codes, code_of, columns
         self._fit = (scores, kth)
         return scores.copy()
 
@@ -417,11 +403,27 @@ class KnnClassifierMeasure(NonconformityMeasure):
         return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
 
     def score_matrix(self, X: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
+        """Every row paired with every candidate label, scored by the row code
+        of the training pass (``_knn_rows``) from one distance block per row
+        chunk."""
         self._require_trained()
-        if len(self._bag) == 0:
+        bag, k = self._bag, self.config.k
+        if len(bag) == 0:
             raise ValueError("empty training bag")
-        masks = _same_label_masks(self.config.k, self._codes, self._code_of, label_space)
-        return _knn_block_scores(self.config.k, self._bag.x, masks, X)
+        X = check_observations(X, bag.n_features)
+        codes = [self._code_of.get(lbl, -1) for lbl in label_space]
+        groups = self._columns[0]
+        for lbl, code in zip(label_space, codes):
+            n_same = len(groups[code][0]) if code in groups else 0
+            _check_neighbours(k, lbl, n_same, len(bag) - n_same)
+        out = np.empty((X.shape[0], len(label_space)))
+        bag_rows = _feature_rows(bag.x)
+        for rows in _row_chunks(X.shape[0], len(bag)):
+            sq = _sq_dists_to(X[rows], bag_rows)
+            m = len(sq)
+            for j, (lbl, code) in enumerate(zip(label_space, codes)):
+                out[rows, j] = _knn_rows(k, sq, np.full(m, code), self._columns, None, [lbl] * m)[0]
+        return out
 
     def _require_trained(self):
         if self._bag is None:
@@ -471,9 +473,10 @@ def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tup
     """Coefficients for a new observation: a = -mean(k nearest labels), b = 1."""
     if len(training) < cfg.k:
         raise ValueError(f"need k={cfg.k} neighbours, only {len(training)} available")
-    sq = _pairwise_sq_dists(np.asarray(x, dtype=float)[None, :], training.x)[0]
-    order = np.argsort(sq, kind="stable")[: cfg.k]
-    return -float(np.asarray(training.y, dtype=float)[order].mean()), 1.0
+    x = check_observations(np.asarray(x, dtype=float)[None, :], training.n_features)
+    sq = _pairwise_sq_dists(x, training.x)
+    means, _ = _nearest_label_means(cfg.k, sq, np.asarray(training.y, dtype=float))
+    return -float(means[0]), 1.0
 
 
 class KnnRegressionProvider(RegressionCoefficientProvider):

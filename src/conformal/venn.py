@@ -88,32 +88,20 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         self._fit = None
 
     def category(self, x: np.ndarray, y: Label, contains_x: bool) -> Hashable:
-        if self._bag is None:
-            raise ValueError("taxonomy is not trained")
-        if len(self._bag) == 0:
-            return y
-        sq = _pairwise_sq_dists(np.asarray(x, dtype=float)[None, :], self._bag.x)[0]
-        if contains_x:
-            zero = np.flatnonzero(sq == 0)
-            if zero.size:
-                sq = sq.copy()
-                sq[zero[0]] = np.inf
-            if not np.isfinite(sq).any():
-                return y
-        return self._bag.y[int(np.argmin(sq))]
+        return self.categories(np.asarray(x, dtype=float)[None, :], [(y,)], np.array([contains_x]))[0][0]
 
     def categories(
         self, X: np.ndarray, hypotheses: Sequence[Sequence[Label]], contains_x: np.ndarray
     ) -> list[list[Hashable]]:
-        """One nearest-neighbour search per row, shared by its hypotheses;
-        the same rules as ``category``."""
+        """One nearest-neighbour search per row, shared by its hypotheses."""
         if self._bag is None:
             raise ValueError("taxonomy is not trained")
         bag = self._bag
+        X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
         contains_x = np.asarray(contains_x, dtype=bool)
-        nearest, dist = _nearest(bag.x, np.asarray(X, dtype=float), contains_x)
+        nearest, dist = _nearest(bag.x, X, contains_x)
         if X is bag.x and contains_x.all():
             self._fit = (nearest, dist)
         return [

@@ -158,7 +158,7 @@ class TestBatchedPValues:
             table = cp.p_values(X, SeededRng(seed))
             alpha = stacked_scores(cp.measure, X, LABELS)
             expected, _ = reference_p_values(
-                cp._by_category, taxonomy, X, LABELS, alpha,
+                cp._store, taxonomy, X, LABELS, alpha,
                 taus_for(seed, alpha.shape, smoothed),
             )
             np.testing.assert_array_equal(table.values, expected)
@@ -182,7 +182,7 @@ class TestBatchedPValues:
             table = icp.p_values(X, SeededRng(seed))
             alpha = stacked_scores(icp.measure, X, LABELS)
             expected, empty = reference_p_values(
-                icp._calibration, label_taxonomy, X, LABELS, alpha,
+                icp._store, label_taxonomy, X, LABELS, alpha,
                 taus_for(seed, alpha.shape, smoothed), include_test,
             )
             expected[empty] = 1.0
@@ -227,6 +227,6 @@ def test_property_batched_cp_equals_scalar_reference(bag_and_queries, k, smoothe
     alpha = stacked_scores(cp.measure, X, labels)
     np.testing.assert_array_equal(cp.measure.score_matrix(X, labels), alpha)
     expected, _ = reference_p_values(
-        cp._by_category, label_taxonomy, X, labels, alpha, taus_for(5, alpha.shape, smoothed)
+        cp._store, label_taxonomy, X, labels, alpha, taus_for(5, alpha.shape, smoothed)
     )
     np.testing.assert_array_equal(cp.p_values(X, SeededRng(5)).values, expected)

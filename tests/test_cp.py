@@ -8,11 +8,14 @@ from conformal import (
     CpConfig,
     KnnClassifierMeasure,
     KnnConfig,
+    ModelOutputAdapterConfig,
+    ModelOutputMeasure,
     NonconformityMeasure,
     SeededRng,
     constant_taxonomy,
     label_taxonomy,
 )
+from conformal.cp import sets_from_p_values
 
 
 class StubMeasure(NonconformityMeasure):
@@ -282,42 +285,38 @@ class TestTransductiveExact:
         rng = np.random.default_rng(20)
         bag = gaussian_blobs(16, seed=20)
         shuffled = bag.subset(rng.permutation(len(bag)))
-        config = CpConfig(epsilons=(0.1, 0.3), mode="transductive-exact")
+        config = CpConfig(epsilons=(0.1, 0.3))
         x = np.array([[0.5, 0.5]])
-        a = ConformalClassifier(KnnClassifierMeasure(), config).train(bag).p_values(x)
-        b = ConformalClassifier(KnnClassifierMeasure(), config).train(shuffled).p_values(x)
+        a = ConformalClassifier(KnnClassifierMeasure(), config).train(bag).exact_p_values(x)
+        b = ConformalClassifier(KnnClassifierMeasure(), config).train(shuffled).exact_p_values(x)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_exact_close_to_offline_on_continuous_data(self):
-        # the two modes score against different reference sets, so only
+        # the two p-values score against different reference sets, so only
         # approximate agreement is expected
         agreements = 0
         trials = 0
         for seed in range(6):
             bag = gaussian_blobs(20, seed=30 + seed, centers=((0, 0), (3, 3)))
-            offline = ConformalClassifier(
+            cp = ConformalClassifier(
                 KnnClassifierMeasure(), CpConfig(epsilons=(0.1, 0.3))
             ).train(bag)
-            exact = ConformalClassifier(
-                KnnClassifierMeasure(), CpConfig(epsilons=(0.1, 0.3), mode="transductive-exact")
-            ).train(bag)
             for x in gaussian_blobs(10, seed=60 + seed, centers=((0, 0), (3, 3))).x:
-                sets_a = offline.predict(x[None, :])[0]
-                sets_b = exact.predict(x[None, :])[0]
+                sets_a = cp.predict(x[None, :])[0]
+                sets_b = sets_from_p_values(cp.exact_p_values(x[None, :]), (0.1, 0.3))[0]
                 for eps in (0.1, 0.3):
                     trials += 1
                     agreements += sets_a.labels_at(eps) == sets_b.labels_at(eps)
         assert agreements / trials >= 0.8
 
-    def test_mode_dispatch_in_predict(self):
+
+    def test_exact_batch_rows_equal_one_row_sets(self):
         bag = gaussian_blobs(12, seed=31)
-        exact = ConformalClassifier(
-            KnnClassifierMeasure(), CpConfig(epsilons=(0.2,), mode="transductive-exact")
-        ).train(bag)
+        cp = ConformalClassifier(KnnClassifierMeasure(), CpConfig(epsilons=(0.2,))).train(bag)
         x = gaussian_blobs(3, seed=32).x
-        direct = [exact.predict_transductive_exact(row) for row in x]
-        via_predict = exact.predict(x)
-        assert [p.labels_at(0.2) for p in direct] == [p.labels_at(0.2) for p in via_predict]
+        direct = [cp.predict_transductive_exact(row) for row in x]
+        batch = sets_from_p_values(cp.exact_p_values(x), (0.2,))
+        assert [p.labels_at(0.2) for p in direct] == [p.labels_at(0.2) for p in batch]
 
 
 class TestInputValidation:
@@ -373,3 +372,73 @@ class TestMeasureContract:
         cp.train(Bag.classification([[0.0], [1.0]], ["A", "B"]))
         with pytest.raises(ValueError, match="expected"):
             cp.p_values(np.zeros((2, 1)))
+
+
+class ScoresAfter(StubMeasure):
+    """Stub whose training scores turn to ``bad`` once the bag outgrows ``n_good``."""
+
+    def __init__(self, cached, per_label, n_good, bad=np.nan):
+        super().__init__(cached, per_label)
+        self.n_good, self.bad = n_good, bad
+
+    def scores(self, bag, is_training_bag):
+        out = np.asarray(super().scores(bag, is_training_bag), dtype=float).copy()
+        if len(bag) > self.n_good:
+            out[-1] = self.bad
+        return out
+
+
+class TestFiniteScoreContract:
+    def test_non_finite_training_score_rejected_before_absorbing(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            cp = ConformalClassifier(
+                ScoresAfter([1, 2, 3, 4], [2, 99], n_good=3, bad=bad), CpConfig(epsilons=(0.5,))
+            ).train(BAG3)
+            before = cp.bag
+            expected = cp.p_values(np.zeros((1, 1))).values
+            with pytest.raises(ValueError, match="non-finite"):
+                cp.train(Bag.classification([[3.0]], ["B"]))
+            assert cp.bag is before
+            np.testing.assert_array_equal(cp.p_values(np.zeros((1, 1))).values, expected)
+
+    def test_measure_refit_to_the_kept_bag_after_a_rejected_train(self):
+        class NanAfter(KnnClassifierMeasure):
+            def extend(self, bag, n_old):
+                scores = super().extend(bag, n_old).copy()
+                if len(bag) > 20:
+                    scores[-1] = np.nan
+                return scores
+
+        cp = ConformalClassifier(NanAfter(), CpConfig(epsilons=(0.1,)))
+        cp.train(gaussian_blobs(20, seed=1))
+        probe = np.array([[0.1, 0.1], [0.2, 0.0]])
+        expected = cp.p_values(probe).values
+        with pytest.raises(ValueError, match="non-finite"):
+            cp.train(Bag.classification([[0.1, 0.1]], ["B"], ("A", "B")))
+        np.testing.assert_array_equal(cp.p_values(probe).values, expected)
+        cp.train(gaussian_blobs(20, seed=1), override=True)
+        np.testing.assert_array_equal(cp.p_values(probe).values, expected)
+
+    def test_non_finite_candidate_score_rejected(self):
+        # a NaN candidate score used to get a p-value instead of an error
+        cp = stub_cp([1, 2, 3], [np.nan, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            cp.p_values(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            cp.predict(np.zeros((1, 1)))
+
+    def test_exact_p_values_reject_non_finite_scores(self):
+        cp = ConformalClassifier(
+            ScoresAfter([1, 2, 3, 4], [2, 99], n_good=3), CpConfig(epsilons=(0.5,))
+        ).train(BAG3)
+        with pytest.raises(ValueError, match="non-finite"):
+            cp.exact_p_values(np.zeros((1, 1)))
+
+    def test_callable_model_output_scorer_returning_inf_rejected(self):
+        measure = ModelOutputMeasure(ModelOutputAdapterConfig(
+            predict_fn=lambda x: np.ones((len(x), 2)), scorer=lambda o, j: np.inf
+        ))
+        cp = ConformalClassifier(measure, CpConfig(epsilons=(0.1,)))
+        with pytest.raises(ValueError, match="non-finite"):
+            cp.train(BAG3)
+        assert cp.bag is None

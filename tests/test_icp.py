@@ -167,7 +167,7 @@ class TestCalibrationStore:
         icp.train(gaussian_blobs(30, seed=1))
         icp.calibrate(gaussian_blobs(9, seed=2))
         icp.calibrate(gaussian_blobs(9, seed=3))
-        for scores in icp._calibration.values():
+        for scores in icp._store.values():
             assert np.all(np.diff(scores) >= 0)
 
 
@@ -275,3 +275,33 @@ class TestInputValidation:
                 icp.p_values(np.array([[bad, 0.0]]))
         with pytest.raises(ValueError, match="2 columns"):
             icp.p_values(np.zeros(2))
+
+    def test_wrong_width_calibration_rejected(self):
+        # a 2-feature calibration bag used to be scored on the first two of
+        # three features, and a 4-feature one raised IndexError
+        three = ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
+        icp = InductiveConformalClassifier(KnnClassifierMeasure(), IcpConfig(epsilons=(0.1,)))
+        icp.train(gaussian_blobs(20, seed=51, centers=three))
+        for width in (2, 4):
+            with pytest.raises(ValueError, match="3 columns"):
+                icp.calibrate(Bag.classification(np.zeros((10, width)), ["A", "B"] * 5))
+        assert icp.calibration_count == 0
+
+
+class TestFiniteScoreContract:
+    def test_non_finite_calibration_score_rejected_before_merging(self):
+        icp = stub_icp([1, 2, 3], [2, 99])
+        store = {cat: s.copy() for cat, s in icp._store.items()}
+        icp.measure.calibration_scores = np.array([1.0, np.nan, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            icp.calibrate(BAG3)
+        assert icp.calibration_count == 3
+        assert icp._store.keys() == store.keys()
+        assert all(np.array_equal(icp._store[cat], s) for cat, s in store.items())
+
+    def test_non_finite_candidate_score_rejected(self):
+        # a non-finite candidate score used to get a p-value instead of an error
+        for bad in (np.nan, np.inf):
+            icp = stub_icp([1, 2, 3], [bad, 1.0])
+            with pytest.raises(ValueError, match="non-finite"):
+                icp.p_values(np.zeros((1, 1)))

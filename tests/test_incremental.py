@@ -61,9 +61,9 @@ def same_bits(a, b):
 
 
 def assert_same_stores(incremental, reference):
-    assert incremental._by_category.keys() == reference._by_category.keys()
-    for cat, stored in reference._by_category.items():
-        assert same_bits(incremental._by_category[cat], stored), cat
+    assert incremental._store.keys() == reference._store.keys()
+    for cat, stored in reference._store.items():
+        assert same_bits(incremental._store[cat], stored), cat
 
 
 def cp_pair(measure_factory, **cfg):
@@ -156,7 +156,7 @@ class TestConformalClassifier:
         cp = ConformalClassifier(KnnClassifierMeasure(KnnConfig(k=k)),
                                  CpConfig(EPSILONS, smoothed=True, taxonomy=label_taxonomy))
         cp.train(bag)
-        stores = {cat: s.copy() for cat, s in cp._by_category.items()}
+        stores = {cat: s.copy() for cat, s in cp._store.items()}
         queries = grid_bag(6, 42).x
         before = cp.p_values(queries, SeededRng(3)).values
         # k examples of a new label C: each has only k - 1 same-label neighbours
@@ -164,8 +164,8 @@ class TestConformalClassifier:
         with pytest.raises(ValueError, match="label 'C': .* same-label neighbour"):
             cp.train(newcomers)
         assert cp.bag is bag
-        assert cp._by_category.keys() == stores.keys()
-        assert all(same_bits(cp._by_category[cat], s) for cat, s in stores.items())
+        assert cp._store.keys() == stores.keys()
+        assert all(same_bits(cp._store[cat], s) for cat, s in stores.items())
         assert same_bits(cp.p_values(queries, SeededRng(3)).values, before)
         # and the next absorbed examples still match a retrain
         step = grid_bag(2, 44, labels=("A", "B"))

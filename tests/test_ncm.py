@@ -155,6 +155,18 @@ class TestKnnRegressionCoeffs:
         np.testing.assert_allclose(a, [-1.0, 1.0, 1.0])
         assert provider.coeffs_n(np.array([1.9])) == (-2.0, 1.0)
 
+    def test_wrong_width_rejected(self):
+        # a 2-feature row against a 3-feature bag used to get coefficients
+        # from its first two features
+        bag = Bag.regression(np.eye(3), [0.0, 1.0, 2.0])
+        provider = KnnRegressionProvider(K1)
+        provider.train(bag)
+        for width in (2, 4):
+            with pytest.raises(ValueError, match="3 columns"):
+                provider.coeffs_n(np.zeros(width))
+            with pytest.raises(ValueError, match="3 columns"):
+                knn_regression_coeffs_n(K1, bag, np.zeros(width))
+
 
 class TestCart:
     def test_pure_bag_single_leaf(self):

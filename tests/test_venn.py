@@ -323,3 +323,16 @@ class TestAtomicScoreOnline:
         with pytest.raises(ValueError, match="2 columns"):
             predictor.score_online(Bag.classification(np.zeros((2, 3)), ["A", "B"]))
         assert len(predictor.bag) == 20
+
+
+class TestTaxonomyWidth:
+    def test_wrong_width_rejected(self):
+        # a 2-feature row against a 3-feature bag used to be categorised on
+        # its first two features
+        taxonomy = NearestNeighborTaxonomy()
+        taxonomy.train(Bag.classification(np.eye(3), ["A", "B", "A"]))
+        for width in (2, 4):
+            with pytest.raises(ValueError, match="3 columns"):
+                taxonomy.category(np.zeros(width), "A", False)
+            with pytest.raises(ValueError, match="3 columns"):
+                taxonomy.categories(np.zeros((1, width)), [("A",)], np.array([False]))
