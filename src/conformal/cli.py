@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .ncm import (
     KnnClassifierMeasure,
     KnnConfig,
     KnnRegressionProvider,
+    _pairwise_sq_dists,
     cart_train,
-    _pairwise_dists,
 )
 from .regression import ConformalRegressor, RrcmConfig
 from .venn import NearestNeighborTaxonomy, VennPredictor
@@ -85,9 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_icp.add_argument("--ncm", default="knn:k=1", help="nonconformity measure spec")
     p_icp.add_argument("--taxonomy", default="none", choices=["none", "label"])
     p_icp.add_argument("--smoothed", action="store_true")
-    p_icp.add_argument("--calibration", default=None, help="calibration CSV")
-    p_icp.add_argument("--calibration-fraction", type=float, default=None,
-                       help="split the training file instead: fraction kept for training")
+    source = p_icp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--calibration", default=None, help="calibration CSV")
+    source.add_argument("--calibration-fraction", type=float, default=None,
+                        help="split the training file instead: fraction kept for training")
     p_icp.add_argument("--include-test-in-count", action="store_true",
                        help="count the test example in the p-value numerator")
 
@@ -185,24 +185,23 @@ def _label_column(text: str):
 
 
 class _KnnBase:
-    def __init__(self, k: int):
-        self.k = k
-        self._x = None
-        self._y = None
+    """Majority vote of the k nearest training rows (distance ties to the
+    lower index), vote ties to the smallest label."""
+
+    def __init__(self, config: KnnConfig):
+        self.k = config.k
 
     def fit(self, x, y):
         self._x = np.asarray(x, dtype=float)
-        self._y = list(y)
+        self._labels = sorted(set(y))  # code order, so argmax breaks vote ties
+        code_of = {lbl: c for c, lbl in enumerate(self._labels)}
+        self._codes = np.array([code_of[lbl] for lbl in y], dtype=int)
 
     def predict(self, x):
-        d = _pairwise_dists(np.asarray(x, dtype=float), self._x)
-        order = np.argsort(d, axis=1, kind="stable")[:, : self.k]
-        out = []
-        for row in order:
-            votes = Counter(self._y[j] for j in row)
-            top = max(votes.values())
-            out.append(sorted(lbl for lbl, c in votes.items() if c == top)[0])
-        return out
+        sq = _pairwise_sq_dists(np.asarray(x, dtype=float), self._x)
+        near = self._codes[np.argsort(sq, axis=1, kind="stable")[:, : self.k]]
+        votes = (near[:, :, None] == np.arange(len(self._labels))).sum(axis=1)
+        return [self._labels[c] for c in votes.argmax(axis=1)]
 
 
 class _CartBase:
@@ -226,7 +225,7 @@ def _base_classifier(spec: str):
     name, params = _parse_spec(spec)
     try:
         if name == "knn":
-            return _KnnBase(int(params.pop("k", 1)))
+            return _KnnBase(KnnConfig(**params))
         if name == "cart":
             return _CartBase(CartConfig(**params))
     except (TypeError, ValueError) as exc:
@@ -293,8 +292,8 @@ def _run_cp(args) -> dict:
 
 
 def _run_icp(args) -> dict:
-    if args.calibration is None and args.calibration_fraction is None:
-        raise UsageError("icp needs --calibration or --calibration-fraction")
+    if args.calibration_fraction is not None and not 0.0 < args.calibration_fraction < 1.0:
+        raise UsageError("--calibration-fraction must lie in (0, 1)")
     epsilons = _epsilons(args.epsilons)
     column = _label_column(args.label_column)
     train_bag = load_csv(args.train, column, "class")

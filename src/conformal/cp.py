@@ -20,7 +20,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Bag, Label, SeededRng, check_labels_known, check_observations
+from .data import Bag, Label, SeededRng, check_labels_known, check_observations, require_trained
 from .metrics import EpsilonStats, ValidityReport, check_epsilons, validity_report
 from .ncm import NonconformityMeasure
 
@@ -79,30 +79,6 @@ class PValueTable:
         return {lbl: float(v) for lbl, v in zip(self.labels, self.values[i])}
 
 
-def sorted_score_counts(sorted_scores: np.ndarray, alpha: float) -> tuple[int, int]:
-    """(strictly greater, exactly equal) counts of stored scores against alpha."""
-    c = len(sorted_scores)
-    gt = c - int(np.searchsorted(sorted_scores, alpha, side="right"))
-    ge = c - int(np.searchsorted(sorted_scores, alpha, side="left"))
-    return gt, ge - gt
-
-
-def p_value_from_counts(
-    gt: int, eq: int, total: int, tau: float | None = None, include_test: bool = True
-) -> float:
-    """p-value over ``total`` reference scores plus the test example itself.
-
-    Unsmoothed: (gt + eq + 1) / (total + 1); smoothing replaces the tie block
-    (the equal scores plus the test example) by its tau fraction.  With
-    ``include_test=False`` the test example is dropped from the numerator,
-    which is the literal inductive formula.
-    """
-    extra = 1 if include_test else 0
-    if tau is None:
-        return (gt + eq + extra) / (total + 1)
-    return (gt + tau * (eq + extra)) / (total + 1)
-
-
 def category_p_values(
     store: Mapping[Hashable, np.ndarray],
     taxonomy: Taxonomy | None,
@@ -116,8 +92,12 @@ def category_p_values(
 
     The taxonomy is called once per pair, row-major; the pairs are grouped
     by category and counted against that category's sorted ``store`` entry
-    by binary search, with the formula of :func:`p_value_from_counts`.  A
-    category missing from the store counts as holding no scores.
+    by binary search.  Over ``total`` stored scores, ``gt`` of them greater
+    and ``eq`` equal, p = (gt + eq + 1) / (total + 1); smoothing replaces the
+    tie block (the equal scores plus the test example) by its tau fraction,
+    and ``include_test=False`` drops the test example from the numerator,
+    the literal inductive formula.  A category missing from the store counts
+    as holding no scores.
     """
     m, n_labels = alpha.shape
     if taxonomy is None:
@@ -168,12 +148,6 @@ def _draw_taus(smoothed: bool, rows: int, cols: int, rng: SeededRng | None) -> n
     if rng is None:
         raise ValueError("smoothed p-values need a SeededRng")
     return rng.uniform(rows * cols).reshape(rows, cols)
-
-
-def _require_trained(bag: Bag | None) -> Bag:
-    if bag is None:
-        raise ValueError("classifier is not trained")
-    return bag
 
 
 def sets_from_p_values(table: PValueTable, epsilons: Sequence[float]) -> list[PredictionSet]:
@@ -245,7 +219,7 @@ class ScoreStoreClassifier:
 
     def score(self, test: Bag, rng: SeededRng | None = None) -> ValidityReport:
         """Validity and efficiency of batch predictions on a test bag."""
-        bag = _require_trained(self._bag)
+        bag = require_trained(self._bag, "classifier")
         if len(test) == 0:
             raise ValueError("empty test bag")
         check_labels_known(test, bag.label_space)
@@ -259,7 +233,7 @@ class ScoreStoreClassifier:
         With smoothing, one tie-breaking draw is taken per pair, row-major in
         label-space order, from the caller's stream.
         """
-        bag = _require_trained(self._bag)
+        bag = require_trained(self._bag, "classifier")
         X = check_observations(X, bag.n_features)
         labels = bag.label_space
         taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
@@ -347,7 +321,7 @@ class ConformalClassifier(ScoreStoreClassifier):
         category, with a taxonomy).  Quadratic; meant for small bags and
         oracle checks.  Tie-breaking draws are taken as by ``p_values``.
         """
-        bag = _require_trained(self._bag)
+        bag = require_trained(self._bag, "classifier")
         X = check_observations(X, bag.n_features)
         labels = bag.label_space
         taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
@@ -391,7 +365,7 @@ class ConformalClassifier(ScoreStoreClassifier):
         before the first element is absorbed, so a bad element leaves the
         bag unchanged.
         """
-        bag = _require_trained(self._bag)
+        bag = require_trained(self._bag, "classifier")
         check_observations(stream.x, bag.n_features)
         check_labels_known(stream, bag.label_space, "stream")
         sets: list[PredictionSet] = []

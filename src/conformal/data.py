@@ -141,6 +141,13 @@ def check_observations(X, n_features: int) -> np.ndarray:
     return X
 
 
+def require_trained(state, what: str):
+    """``state``, the fitted state of a ``what``; raise while it is None."""
+    if state is None:
+        raise ValueError(f"{what} is not trained")
+    return state
+
+
 def check_labels_known(bag: Bag, label_space: Sequence[Label], what: str = "test") -> None:
     """Raise unless every label of ``bag`` is in ``label_space``."""
     known = set(label_space)
@@ -158,13 +165,16 @@ class SplitSpec:
 
 
 def split(bag: Bag, spec: SplitSpec) -> tuple[Bag, Bag]:
-    """Partition a bag into (training, held-out) parts, deterministically."""
+    """Partition a bag into (training, held-out) parts, deterministically;
+    a split that would leave either part empty raises ``ValueError``."""
     if len(bag) == 0:
         raise ValueError("cannot split an empty bag")
     if not 0.0 < spec.train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
-    perm = SeededRng(spec.shuffle_seed).permutation(len(bag))
     cut = math.ceil(len(bag) * spec.train_fraction)
+    if cut == len(bag):
+        raise ValueError(f"train_fraction {spec.train_fraction} keeps all {len(bag)} examples: no held-out part")
+    perm = SeededRng(spec.shuffle_seed).permutation(len(bag))
     return bag.subset(perm[:cut]), bag.subset(perm[cut:])
 
 

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp import (
-    PValueTable,
-    ScoreStoreClassifier,
-    Taxonomy,
-    _NO_SCORES,
-    _checked_scores,
-    _require_trained,
-)
-from .data import Bag, SeededRng, check_labels_known, check_observations
+from .cp import _NO_SCORES, PValueTable, ScoreStoreClassifier, Taxonomy, _checked_scores
+from .data import Bag, SeededRng, check_labels_known, check_observations, require_trained
 from .metrics import check_epsilons
 
 
@@ -49,17 +42,17 @@ class InductiveConformalClassifier(ScoreStoreClassifier):
     def calibration_count(self) -> int:
         return len(self._scores)
 
-    def train(self, bag: Bag, override: bool = False) -> "InductiveConformalClassifier":
-        """Fit the measure; ``override`` replaces the bag and drops calibration scores."""
-        merged = bag if (override or self._bag is None) else self._bag.append(bag)
-        if len(merged) == 0:
+    def train(self, bag: Bag) -> "InductiveConformalClassifier":
+        """Fit the measure to the proper training bag ``bag``, replacing any
+        earlier one, and drop every calibration score: those were scored by
+        the previous fit, so they must be calibrated again."""
+        if len(bag) == 0:
             raise ValueError("cannot train on an empty bag")
-        if not merged.is_classification:
+        if not bag.is_classification:
             raise ValueError("the inductive conformal classifier needs a classification bag")
-        self.measure.train(merged)
-        self._bag = merged
-        if override:
-            self._keep_scores(_NO_SCORES, self._categorise(merged.x[:0], (), fresh=True))
+        self.measure.train(bag)
+        self._bag = bag
+        self._keep_scores(_NO_SCORES, self._categorise(bag.x[:0], (), fresh=True))
         return self
 
     def calibrate(self, calibration: Bag, override: bool = False) -> "InductiveConformalClassifier":
@@ -68,7 +61,7 @@ class InductiveConformalClassifier(ScoreStoreClassifier):
         Only the new calibration examples meet the taxonomy; ``override``
         drops the scores of earlier calibration bags.
         """
-        bag = _require_trained(self._bag)
+        bag = require_trained(self._bag, "classifier")
         check_observations(calibration.x, bag.n_features)
         check_labels_known(calibration, bag.label_space)
         scores = _checked_scores(self.measure.scores(calibration, False), (len(calibration),))

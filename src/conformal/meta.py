@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cp import ConformalClassifier, CpConfig
-from .data import Bag, SeededRng
+from .data import Bag, SeededRng, require_trained
 from .metrics import ConfusionMatrix, confusion_metrics
 from .ncm import NonconformityMeasure
 
@@ -163,14 +163,18 @@ def score_ratios(
                 "use fewer folds or stratified folds"
             )
         hooks.m_train(x[rest], y[rest])
-        pvals = np.asarray(hooks.m_predict_pvals(x[fold]), dtype=float)
-        if pvals.shape != (len(fold), 2):
-            raise ValueError(f"meta classifier returned {pvals.shape}, expected ({len(fold)}, 2)")
-        for local, idx in enumerate(fold):
-            p_neg, p_pos = pvals[local]
-            ratio = INF if p_neg == 0 else p_pos / p_neg
-            out.append((float(ratio), int(y[idx])))
+        out.extend(zip(_ratios(hooks.m_predict_pvals, x[fold]).tolist(), y[fold].tolist()))
     return out
+
+
+def _ratios(m_predict_pvals: Callable, X: np.ndarray) -> np.ndarray:
+    """p_positive / p_negative of every row of X from the meta p-values,
+    infinite where p_negative is 0."""
+    pvals = np.asarray(m_predict_pvals(X), dtype=float)
+    if pvals.shape != (len(X), 2):
+        raise ValueError(f"meta classifier returned {pvals.shape}, expected ({len(X)}, 2)")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pvals[:, 0] == 0, INF, pvals[:, 1] / pvals[:, 0])
 
 
 def roc_points(ratios_with_labels: Sequence[tuple[float, int]]) -> list[RocPoint]:
@@ -342,7 +346,7 @@ class CombinedClassifier:
         and rejections split by the true meta class, so ``rp + rn`` is the
         number of abstentions.
         """
-        self._require_trained()
+        require_trained(self.threshold, "classifier")
         if len(test) == 0:
             raise ValueError("empty test bag")
         base, decisions = self._decide(test.x)
@@ -360,28 +364,11 @@ class CombinedClassifier:
 
     def _decide(self, X) -> tuple[list, list]:
         """Base labels and decisions (base label or ABSTAIN), one pass each."""
-        self._require_trained()
+        threshold = require_trained(self.threshold, "classifier").t
         X = np.asarray(X, dtype=float)
         base = list(self.hooks.b_predict(X))
-        decisions = [
-            label if ratio > self.threshold.t else ABSTAIN
-            for label, ratio in zip(base, self._ratios(X))
-        ]
-        return base, decisions
-
-    def _ratios(self, X: np.ndarray) -> np.ndarray:
-        pvals = np.asarray(self.hooks.m_predict_pvals(X), dtype=float)
-        if pvals.shape != (len(X), 2):
-            raise ValueError(f"meta classifier returned {pvals.shape}, expected ({len(X)}, 2)")
-        p_neg, p_pos = pvals[:, 0], pvals[:, 1]
-        out = np.full(len(X), INF)
-        nonzero = p_neg != 0
-        out[nonzero] = p_pos[nonzero] / p_neg[nonzero]
-        return out
-
-    def _require_trained(self):
-        if self.threshold is None:
-            raise ValueError("classifier is not trained")
+        ratios = _ratios(self.hooks.m_predict_pvals, X)
+        return base, [label if ratio > threshold else ABSTAIN for label, ratio in zip(base, ratios)]
 
 
 def conformal_meta_hooks(

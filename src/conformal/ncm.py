@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Bag, Label, check_observations
+from .data import Bag, Label, check_observations, require_trained
 
 #: Stand-in for an infinite score ratio; keeps downstream sorting total.
 HUGE_SCORE = float(np.finfo(np.float64).max)
@@ -28,7 +28,7 @@ class NonconformityMeasure(ABC):
     measure exclude each example from its own reference set.  ``score``
     evaluates one observation against every candidate label, in label-space
     order, and ``score_matrix`` does the same for a batch of observations.
-    A trained measure is immutable; only ``train`` mutates it.
+    A trained measure is immutable; only ``train`` and ``extend`` mutate it.
     """
 
     @abstractmethod
@@ -133,11 +133,6 @@ def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances; see :func:`_pairwise_sq_dists` for exactness."""
-    return np.sqrt(_pairwise_sq_dists(a, b))
-
-
 def _k_smallest(sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise sum of the k smallest distances, given squared distances, and
     the k-th smallest squared distance.
@@ -192,20 +187,17 @@ def _continues(old: "Bag | None", bag: Bag, n_old: int) -> bool:
 
 @dataclass(frozen=True)
 class KnnConfig:
-    """Nearest-neighbour settings; only the Euclidean distance is shipped.
+    """Nearest-neighbour settings: ``k`` neighbours by Euclidean distance.
 
     Distance ties are broken by ascending bag index, so results are
     deterministic under a fixed insertion order.
     """
 
     k: int = 1
-    distance: str = "euclidean"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.distance != "euclidean":
-            raise ValueError(f"unsupported distance {self.distance!r}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError("k must be a positive integer")
 
 
 def _label_columns(codes: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -336,10 +328,10 @@ def knn_score_per_label(
 class KnnClassifierMeasure(NonconformityMeasure):
     """Nonconformity as the ratio of same-label to other-label neighbour distances.
 
-    Scoring its own training bag also keeps each example's score and the
-    k-th smallest same-label and other-label squared distance (O(n) floats),
-    so ``extend`` rescores only the examples a new example comes closer to
-    than that threshold, plus the new examples themselves.
+    ``extend`` also keeps each example of the bag it fits with its score
+    and its k-th smallest same-label and other-label squared distance (O(n)
+    floats), so the next ``extend`` rescores only the examples a new example
+    comes closer to than that threshold, plus the new examples themselves.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -348,7 +340,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._codes: np.ndarray | None = None
         self._code_of: dict = {}
         self._columns: tuple | None = None  # _label_columns of _codes
-        # (scores, kth) of the training bag, once it has been scored
+        # (scores, kth) of the bag fitted by extend
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
@@ -358,11 +350,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._fit = None
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
-        self._require_trained()
-        if bag is not self._bag or not is_training_bag:
-            return knn_scores(self.config, self._bag, bag, is_training_bag)
-        self._fit = _knn_scores_kth(self.config, bag, bag, True)
-        return self._fit[0].copy()
+        return knn_scores(self.config, require_trained(self._bag, "measure"), bag, is_training_bag)
 
     def extend(self, bag: Bag, n_old: int) -> np.ndarray:
         """Training scores of ``bag``, updating only what its new examples change.
@@ -372,7 +360,9 @@ class KnnClassifierMeasure(NonconformityMeasure):
         ``bag`` would, before any state changes.
         """
         if self._fit is None or not _continues(self._bag, bag, n_old):
-            return super().extend(bag, n_old)
+            self.train(bag)
+            self._fit = _knn_scores_kth(self.config, bag, bag, True)
+            return self._fit[0].copy()
         n = len(bag)
         codes, code_of = _label_codes(bag.y[n_old:], self._codes, self._code_of)
         old_scores, old_kth = self._fit
@@ -406,8 +396,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         """Every row paired with every candidate label, scored by the row code
         of the training pass (``_knn_rows``) from one distance block per row
         chunk."""
-        self._require_trained()
-        bag, k = self._bag, self.config.k
+        bag, k = require_trained(self._bag, "measure"), self.config.k
         if len(bag) == 0:
             raise ValueError("empty training bag")
         X = check_observations(X, bag.n_features)
@@ -424,10 +413,6 @@ class KnnClassifierMeasure(NonconformityMeasure):
             for j, (lbl, code) in enumerate(zip(label_space, codes)):
                 out[rows, j] = _knn_rows(k, sq, np.full(m, code), self._columns, None, [lbl] * m)[0]
         return out
-
-    def _require_trained(self):
-        if self._bag is None:
-            raise ValueError("measure is not trained")
 
 
 def _nearest_label_means(k: int, sq: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,17 +467,17 @@ def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tup
 class KnnRegressionProvider(RegressionCoefficientProvider):
     """Coefficient provider built on nearest-neighbour label averages.
 
-    The coefficients of its own training bag are kept with each example's
-    k-th smallest squared distance, so ``extend`` recomputes a_i only for
-    the examples a new example comes strictly closer to than that, plus the
-    new examples themselves (the stable order puts the new, largest index
-    after any ties).
+    ``extend`` keeps the coefficients of the bag it fits with each example's
+    k-th smallest squared distance, so the next ``extend`` recomputes a_i
+    only for the examples a new example comes strictly closer to than that,
+    plus the new examples themselves (the stable order puts the new, largest
+    index after any ties).
     """
 
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
         self._bag: Bag | None = None
-        # (a, kth) of the training bag, once its coefficients are computed
+        # (a, kth) of the bag fitted by extend
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
@@ -500,15 +485,14 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         self._fit = None
 
     def coeffs(self, bag: Bag, is_training_bag: bool) -> tuple[np.ndarray, np.ndarray]:
-        self._require_trained()
-        if bag is not self._bag or not is_training_bag:
-            return knn_regression_coeffs(self.config, self._bag, bag, is_training_bag)
-        self._fit = _knn_regression_coeffs_kth(self.config, bag, bag, True)
-        return self._fit[0].copy(), np.zeros(len(bag))
+        training = require_trained(self._bag, "provider")
+        return knn_regression_coeffs(self.config, training, bag, is_training_bag)
 
     def extend(self, bag: Bag, n_old: int) -> tuple[np.ndarray, np.ndarray]:
         if self._fit is None or not _continues(self._bag, bag, n_old):
-            return super().extend(bag, n_old)
+            self.train(bag)
+            self._fit = _knn_regression_coeffs_kth(self.config, bag, bag, True)
+            return self._fit[0].copy(), np.zeros(len(bag))
         n = len(bag)
         old_a, old_kth = self._fit
         closer = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old]) < old_kth
@@ -527,12 +511,7 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         return a.copy(), np.zeros(n)
 
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:
-        self._require_trained()
-        return knn_regression_coeffs_n(self.config, self._bag, x)
-
-    def _require_trained(self):
-        if self._bag is None:
-            raise ValueError("provider is not trained")
+        return knn_regression_coeffs_n(self.config, require_trained(self._bag, "provider"), x)
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +521,16 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
 
 @dataclass(frozen=True)
 class CartConfig:
+    """Gini tree settings: depth limit and least examples per leaf."""
+
     max_depth: int
     min_leaf: int = 1
-    split_criterion: str = "gini"
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
-        if self.split_criterion != "gini":
-            raise ValueError(f"unsupported split criterion {self.split_criterion!r}")
 
 
 class CartNode:
@@ -673,17 +651,12 @@ class DecisionTreeMeasure(NonconformityMeasure):
         self._tree = cart_train(self.config, bag)
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
-        tree = self._require_trained()
+        tree = require_trained(self._tree, "measure")
         return np.array([cart_score(tree, x, lbl) for x, lbl in zip(bag.x, bag.y)])
 
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
-        tree = self._require_trained()
+        tree = require_trained(self._tree, "measure")
         return np.array([cart_score(tree, x, lbl) for lbl in label_space])
-
-    def _require_trained(self) -> CartTree:
-        if self._tree is None:
-            raise ValueError("measure is not trained")
-        return self._tree
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +724,7 @@ class ModelOutputMeasure(NonconformityMeasure):
             self.config.train_fn(bag.x, bag.y)
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
-        space = self._require_trained()
+        space = require_trained(self._label_space, "measure")
         out_matrix = self._predict(bag.x, len(space))
         index = {lbl: i for i, lbl in enumerate(space)}
         unknown = [lbl for lbl in bag.y if lbl not in index]
@@ -762,7 +735,7 @@ class ModelOutputMeasure(NonconformityMeasure):
         )
 
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
-        self._require_trained()
+        require_trained(self._label_space, "measure")
         row = self._predict(np.asarray(x, dtype=float)[None, :], len(label_space))[0]
         return np.array([model_output_score(self.config, row, j) for j in range(len(label_space))])
 
@@ -771,8 +744,3 @@ class ModelOutputMeasure(NonconformityMeasure):
         if out.shape != (x.shape[0], n_labels):
             raise ValueError(f"predict_fn returned shape {out.shape}, expected {(x.shape[0], n_labels)}")
         return out
-
-    def _require_trained(self) -> tuple[Label, ...]:
-        if self._label_space is None:
-            raise ValueError("measure is not trained")
-        return self._label_space

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Bag, check_observations
+from .data import Bag, check_observations, require_trained
 from .metrics import IntervalReport, IntervalStats, check_epsilons
 from .ncm import RegressionCoefficientProvider
 
@@ -258,7 +258,7 @@ class ConformalRegressor:
 
     def predict(self, X) -> list[PredictionIntervals]:
         """Prediction-interval unions for each observation row."""
-        lines = self._require_trained()
+        lines = require_trained(self._lines, "predictor")
         X = check_observations(X, self._bag.n_features)
         out = []
         for x in X:
@@ -272,7 +272,7 @@ class ConformalRegressor:
 
     def score(self, test: Bag) -> IntervalReport:
         """Miss rate (true label outside the union) and mean finite width per level."""
-        self._require_trained()
+        require_trained(self._lines, "predictor")
         if len(test) == 0:
             raise ValueError("empty test bag")
         if test.is_classification:
@@ -287,7 +287,7 @@ class ConformalRegressor:
         updates only the coefficients the element changes (see
         ``RegressionCoefficientProvider.extend``).
         """
-        self._require_trained()
+        require_trained(self._lines, "predictor")
         if stream.is_classification:
             raise ValueError("scoring needs a regression bag")
         predictions: list[PredictionIntervals] = []
@@ -299,11 +299,6 @@ class ConformalRegressor:
             zero = {e: IntervalStats(0.0, 0.0) for e in self.config.epsilons}
             return IntervalReport(zero, 0)
         return _interval_report(predictions, stream.y, self.config.epsilons)
-
-    def _require_trained(self) -> np.ndarray:
-        if self._lines is None:
-            raise ValueError("predictor is not trained")
-        return self._lines
 
 
 def _interval_report(predictions, truths, epsilons) -> IntervalReport:

@@ -15,8 +15,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .data import Bag, Label, check_labels_known, check_observations
-from .ncm import KnnConfig, _continues, _feature_rows, _pairwise_sq_dists, _row_chunks, _sq_dists_to
+from .data import Bag, Label, check_labels_known, check_observations, require_trained
+from .ncm import _continues, _feature_rows, _pairwise_sq_dists, _row_chunks, _sq_dists_to
 
 
 class VennTaxonomy(ABC):
@@ -69,18 +69,14 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     excluded, so a training point maps to the label of its nearest *other*
     neighbour.  Distance ties break by ascending bag index.  Degenerate bags
     (empty, or a singleton equal to x) fall back to the hypothesis label so
-    the mapping stays total.  Categorising its own training bag keeps each
-    example's nearest index and squared distance, so ``extend`` moves only
-    the examples a new example comes strictly closer to.
+    the mapping stays total.  ``extend`` keeps each example's nearest index
+    and squared distance, so the next ``extend`` moves only the examples a
+    new example comes strictly closer to.
     """
 
-    def __init__(self, config: KnnConfig | None = None):
-        config = config or KnnConfig(k=1)
-        if config.k != 1:
-            raise ValueError("the nearest-neighbour taxonomy uses exactly one neighbour")
-        self.config = config
+    def __init__(self):
         self._bag: Bag | None = None
-        # (nearest index, its squared distance) per training example
+        # (nearest index, its squared distance) per example of the bag extend fitted
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
@@ -94,36 +90,32 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         self, X: np.ndarray, hypotheses: Sequence[Sequence[Label]], contains_x: np.ndarray
     ) -> list[list[Hashable]]:
         """One nearest-neighbour search per row, shared by its hypotheses."""
-        if self._bag is None:
-            raise ValueError("taxonomy is not trained")
-        bag = self._bag
+        bag = require_trained(self._bag, "taxonomy")
         X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
-        contains_x = np.asarray(contains_x, dtype=bool)
-        nearest, dist = _nearest(bag.x, X, contains_x)
-        if X is bag.x and contains_x.all():
-            self._fit = (nearest, dist)
+        nearest, _ = _nearest(bag.x, X, np.asarray(contains_x, dtype=bool))
         return [
             list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
         ]
 
     def extend(self, bag: Bag, n_old: int) -> list[Hashable]:
         if self._fit is None or not 2 <= n_old < len(bag) or not _continues(self._bag, bag, n_old):
-            return super().extend(bag, n_old)
-        old_nearest, old_dist = self._fit
-        # example i moves to the closest new example only if that one is
-        # strictly closer; a tie keeps the lower index, as argmin does
-        new_sq = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old])
-        closest = new_sq.argmin(axis=0)
-        closest_sq = new_sq[closest, np.arange(n_old)]
-        moved = closest_sq < old_dist
-        fresh, fresh_dist = _nearest(bag.x, bag.x[n_old:], np.ones(len(bag) - n_old, bool))
-        nearest = np.concatenate([np.where(moved, n_old + closest, old_nearest), fresh])
-        dist = np.concatenate([np.where(moved, closest_sq, old_dist), fresh_dist])
+            nearest, dist = _nearest(bag.x, bag.x, np.ones(len(bag), bool))
+        else:
+            old_nearest, old_dist = self._fit
+            # example i moves to the closest new example only if that one is
+            # strictly closer; a tie keeps the lower index, as argmin does
+            new_sq = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old])
+            closest = new_sq.argmin(axis=0)
+            closest_sq = new_sq[closest, np.arange(n_old)]
+            moved = closest_sq < old_dist
+            fresh, fresh_dist = _nearest(bag.x, bag.x[n_old:], np.ones(len(bag) - n_old, bool))
+            nearest = np.concatenate([np.where(moved, n_old + closest, old_nearest), fresh])
+            dist = np.concatenate([np.where(moved, closest_sq, old_dist), fresh_dist])
         self._bag = bag
         self._fit = (nearest, dist)
-        return [bag.y[j] for j in nearest.tolist()]
+        return [y if j < 0 else bag.y[j] for j, y in zip(nearest.tolist(), bag.y)]
 
 
 def _nearest(bag_x: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +227,7 @@ class VennPredictor:
         the bag examples sharing that category together with the
         hypothetical example itself (so every denominator is at least one).
         """
-        bag = self._require_trained()
+        bag = require_trained(self._bag, "predictor")
         X = check_observations(np.asarray(x, dtype=float)[None, :], bag.n_features)
         return VennMatrix(self._matrices(X)[0], bag.label_space)
 
@@ -246,7 +238,7 @@ class VennPredictor:
         label); its label is the prediction and its value range, reflected
         around 1, the error interval.
         """
-        bag = self._require_trained()
+        bag = require_trained(self._bag, "predictor")
         X = check_observations(X, bag.n_features)
         rows = self._matrices(X)
         best = rows.min(axis=1).argmax(axis=1)
@@ -260,7 +252,7 @@ class VennPredictor:
 
     def score(self, test: Bag) -> VennReport:
         """Accuracy and mean error-interval geometry over a test bag."""
-        self._require_trained()
+        require_trained(self._bag, "predictor")
         if len(test) == 0:
             raise ValueError("empty test bag")
         predictions, intervals = self.predict(test.x, proba=True)
@@ -272,7 +264,7 @@ class VennPredictor:
         The whole stream is checked before the first element is absorbed,
         so a bad element leaves the bag unchanged.
         """
-        bag = self._require_trained()
+        bag = require_trained(self._bag, "predictor")
         check_observations(stream.x, bag.n_features)
         check_labels_known(stream, bag.label_space, "stream")
         if len(stream) == 0:
@@ -306,11 +298,6 @@ class VennPredictor:
         ).reshape(len(X), len(labels))
         counts = self._label_counts[ids] + np.eye(len(labels))
         return counts / counts.sum(axis=2, keepdims=True)
-
-    def _require_trained(self) -> Bag:
-        if self._bag is None:
-            raise ValueError("predictor is not trained")
-        return self._bag
 
 
 def _label_count_table(categories: list[Hashable], bag: Bag) -> tuple[dict, np.ndarray]:

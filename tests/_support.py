@@ -27,6 +27,29 @@ def linear_regression_bag(n, seed, noise=0.3):
     return Bag.regression(x, y)
 
 
+def sorted_score_counts(sorted_scores, alpha):
+    """(strictly greater, exactly equal) counts of stored scores against alpha."""
+    c = len(sorted_scores)
+    gt = c - int(np.searchsorted(sorted_scores, alpha, side="right"))
+    ge = c - int(np.searchsorted(sorted_scores, alpha, side="left"))
+    return gt, ge - gt
+
+
+def p_value_from_counts(gt, eq, total, tau=None, include_test=True):
+    """Scalar oracle of the counted p-value over ``total`` reference scores
+    plus the test example itself.
+
+    Unsmoothed: (gt + eq + 1) / (total + 1); smoothing replaces the tie block
+    (the equal scores plus the test example) by its tau fraction.  With
+    ``include_test=False`` the test example is dropped from the numerator,
+    which is the literal inductive formula.
+    """
+    extra = 1 if include_test else 0
+    if tau is None:
+        return (gt + eq + extra) / (total + 1)
+    return (gt + tau * (eq + extra)) / (total + 1)
+
+
 def direct_membership_union(lines, line_new, eps, convex_hull):
     """Quadratic oracle for the regression interval sweep.
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _support import gaussian_blobs
+from _support import gaussian_blobs, p_value_from_counts, sorted_score_counts
 from conformal import (
     Bag,
     CartConfig,
@@ -28,7 +28,7 @@ from conformal import (
     knn_scores,
     label_taxonomy,
 )
-from conformal.cp import _SINGLE_CATEGORY, p_value_from_counts, sorted_score_counts
+from conformal.cp import _SINGLE_CATEGORY
 
 LABELS = ("A", "B", "C")
 

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from _support import gaussian_blobs, linear_regression_bag
 from conformal import save_csv
-from conformal.cli import main
+from conformal.cli import _base_classifier, main
 
 
 @pytest.fixture
@@ -119,6 +121,29 @@ class TestIcpCommand:
         assert report["config"]["calibration_scores"] == 30  # 60 * 0.5 held out
         assert report["config"]["include_test_in_count"] is True
 
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2", "1"])
+    def test_fraction_outside_unit_interval_is_usage_error(self, class_files, fraction):
+        train, test = class_files
+        with pytest.raises(SystemExit) as err:
+            main(["icp", "--train", train, "--test", test, "--calibration-fraction", fraction])
+        assert err.value.code == 2
+
+    def test_calibration_file_and_fraction_are_exclusive(self, class_files):
+        train, test = class_files
+        with pytest.raises(SystemExit) as err:
+            main(["icp", "--train", train, "--test", test, "--calibration", train,
+                  "--calibration-fraction", "0.5"])
+        assert err.value.code == 2
+
+    def test_fraction_leaving_no_calibration_is_data_error(self, class_files, tmp_path, capsys):
+        # ceil(60 * 0.999) = 60 rows would stay for training, none for calibration
+        train, test = class_files
+        code = main(["icp", "--train", train, "--test", test, "--calibration-fraction", "0.999",
+                     "--output", str(tmp_path / "icp.json")])
+        assert code == 1
+        assert "held-out" in capsys.readouterr().err
+        assert not (tmp_path / "icp.json").exists()
+
 
 class TestRrcmCommand:
     def test_report_structure(self, reg_files, tmp_path):
@@ -202,6 +227,13 @@ class TestMetaCommand:
             main(["meta", "--train", train, "--test", test, "--k-folds", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["knn:k=0", "knn:k=3,foo=1", "knn:k=2.5", "cart:depth=2"])
+    def test_bad_base_spec_is_usage_error(self, class_files, spec):
+        train, test = class_files
+        with pytest.raises(SystemExit) as err:
+            main(["meta", "--train", train, "--test", test, "--base", spec])
+        assert err.value.code == 2
+
     def test_cart_base(self, tmp_path):
         # overlapping classes so the base classifier leaves enough meta zeros
         train = tmp_path / "noisy_train.csv"
@@ -222,3 +254,29 @@ class TestStdout:
         code = main(["cp", "--train", train, "--test", test])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["command"] == "cp"
+
+
+def counter_vote(x, y, queries, k):
+    """Reference vote: the k nearest rows by Euclidean distance (ties to the
+    lower index), then the most frequent label, ties to the smallest."""
+    out = []
+    for q in queries:
+        nearest = np.argsort(np.sqrt(((x - q) ** 2).sum(axis=1)), kind="stable")[:k]
+        votes = Counter(y[j] for j in nearest)
+        top = max(votes.values())
+        out.append(min(lbl for lbl, c in votes.items() if c == top))
+    return out
+
+
+class TestKnnBaseVote:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_equals_counter_reference_on_integer_grid(self, k):
+        # a coarse grid gives many distance ties and, at even k, vote ties;
+        # labels first appear out of sorted order
+        rng = np.random.default_rng(40 + k)
+        x = rng.integers(-2, 3, size=(45, 2)).astype(float)
+        y = [("C", "A", "B")[i] for i in rng.integers(0, 3, size=45)]
+        queries = np.vstack([rng.integers(-3, 4, size=(40, 2)).astype(float), x])
+        base = _base_classifier(f"knn:k={k}")
+        base.fit(x, y)
+        assert base.predict(queries) == counter_vote(x, y, queries, k)

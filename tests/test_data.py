@@ -117,6 +117,13 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self._bag(3), SplitSpec(1.0, 0))
 
+    def test_empty_held_out_part_rejected(self):
+        # ceil(40 * 0.999) = 40 would leave nothing to hold out
+        with pytest.raises(ValueError, match="held-out"):
+            split(self._bag(40), SplitSpec(0.999, 0))
+        with pytest.raises(ValueError, match="held-out"):
+            split(self._bag(1), SplitSpec(0.5, 0))
+
 
 class TestCsv:
     def test_small_file(self, tmp_path):

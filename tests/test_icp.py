@@ -146,16 +146,25 @@ class TestCalibrationStore:
         icp = InductiveConformalClassifier(KnnClassifierMeasure(), IcpConfig(epsilons=(0.1,)))
         icp.train(gaussian_blobs(20, seed=1))
         icp.calibrate(gaussian_blobs(7, seed=2))
-        icp.train(gaussian_blobs(10, seed=4), override=True)
+        icp.train(gaussian_blobs(10, seed=4))
         assert icp.calibration_count == 0
 
-    def test_train_without_override_keeps_calibration_and_appends(self):
-        icp = InductiveConformalClassifier(KnnClassifierMeasure(), IcpConfig(epsilons=(0.1,)))
-        icp.train(gaussian_blobs(20, seed=1))
-        icp.calibrate(gaussian_blobs(7, seed=2))
-        icp.train(gaussian_blobs(10, seed=4))
-        assert len(icp.bag) == 30
-        assert icp.calibration_count == 7
+    def test_retrain_then_recalibrate_equals_fresh_classifier(self):
+        # calibration scores of the first fit must not be counted against
+        # test scores of the second
+        config = IcpConfig(epsilons=(0.1,), smoothed=True, taxonomy=label_taxonomy)
+        icp = InductiveConformalClassifier(KnnClassifierMeasure(), config)
+        icp.train(gaussian_blobs(20, seed=1)).calibrate(gaussian_blobs(50, seed=2))
+        proper, calibration = gaussian_blobs(200, seed=4), gaussian_blobs(30, seed=5)
+        icp.train(proper)
+        assert len(icp.bag) == 200 and icp.calibration_count == 0
+        icp.calibrate(calibration)
+        fresh = InductiveConformalClassifier(KnnClassifierMeasure(), config)
+        fresh.train(proper).calibrate(calibration)
+        X = gaussian_blobs(25, seed=6).x
+        got, want = icp.p_values(X, SeededRng(3)), fresh.p_values(X, SeededRng(3))
+        assert got.values.tobytes() == want.values.tobytes()
+        np.testing.assert_array_equal(got.empty_category, want.empty_category)
 
     def test_calibrate_before_train_rejected(self):
         icp = InductiveConformalClassifier(KnnClassifierMeasure(), IcpConfig(epsilons=(0.1,)))

@@ -186,8 +186,7 @@ def test_property_incremental_scores_equal_retraining(seed, k, n, chunks):
     bag = grid_bag(n, seed)
     stream = grid_stream(bag, sum(chunks), seed + 1)
     measure = KnnClassifierMeasure(KnnConfig(k=k))
-    measure.train(bag)
-    measure.scores(bag, True)
+    measure.extend(bag, 0)
     merged, lo = bag, 0
     for size in chunks:
         merged = merged.append(stream.subset(range(lo, lo + size)))

@@ -455,7 +455,7 @@ class _Nearest:
         self._y = list(y)
 
     def predict(self, x):
-        from conformal.ncm import _pairwise_dists
+        from conformal.ncm import _pairwise_sq_dists
 
-        d = _pairwise_dists(np.asarray(x, dtype=float), self._x)
+        d = _pairwise_sq_dists(np.asarray(x, dtype=float), self._x)
         return [self._y[j] for j in d.argmin(axis=1)]

@@ -130,13 +130,6 @@ class TestNearestNeighborTaxonomy:
         taxonomy.train(Bag.classification([[1.0], [3.0]], ["A", "B"]))
         assert taxonomy.category(np.array([2.0]), "B", False) == "A"
 
-    def test_only_single_neighbour_configs_accepted(self):
-        from conformal import KnnConfig
-
-        NearestNeighborTaxonomy(KnnConfig(k=1))
-        with pytest.raises(ValueError, match="one neighbour"):
-            NearestNeighborTaxonomy(KnnConfig(k=2))
-
 
 class TestMatrixProperties:
     def test_rows_sum_to_one(self):
@@ -336,3 +329,97 @@ class TestTaxonomyWidth:
                 taxonomy.category(np.zeros(width), "A", False)
             with pytest.raises(ValueError, match="3 columns"):
                 taxonomy.categories(np.zeros((1, width)), [("A",)], np.array([False]))
+
+
+LABELS = ("A", "B", "C")
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def grid_bags(draw):
+    """Integer-grid bag with duplicate rows and distance ties, plus query rows
+    (fresh grid rows and copies of bag rows)."""
+    n = draw(st.integers(2, 14))
+    d = draw(st.integers(1, 2))
+    coords = draw(st.lists(st.integers(-1, 1), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    bag = Bag.classification(np.array(coords, dtype=float).reshape(n, d), labels, LABELS)
+    queries = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=4 * d))
+    X = np.array(queries[: len(queries) // d * d], dtype=float).reshape(-1, d)
+    return bag, np.vstack([X, bag.x])
+
+
+@PROPERTY_SETTINGS
+@given(grid_bags())
+def test_property_matrix_rows_are_distributions(case):
+    bag, X = case
+    predictor = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+    for x in X:
+        rows = predictor.matrix(x).rows
+        assert rows.shape == (len(LABELS), len(LABELS))
+        assert ((rows >= 0) & (rows <= 1)).all()
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # the hypothetical example always counts in its own row
+        assert (np.diag(rows) > 0).all()
+
+
+@st.composite
+def tie_free_bags(draw):
+    """Continuous bag, a permutation of it and query rows.  Its distances
+    are distinct with probability one; the 1-NN taxonomy breaks distance
+    ties by bag index, so on bags with ties a permutation may move an
+    example to another category."""
+    n = draw(st.integers(2, 16))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    bag = Bag.classification(rng.standard_normal((n, d)), labels, LABELS)
+    perm = draw(st.permutations(range(n)))
+    return bag, bag.subset(perm), np.vstack([rng.standard_normal((4, d)), bag.x])
+
+
+@PROPERTY_SETTINGS
+@given(tie_free_bags())
+def test_property_matrix_invariant_under_permutation_of_tie_free_bag(case):
+    bag, permuted, X = case
+    a = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+    b = VennPredictor(NearestNeighborTaxonomy()).train(permuted)
+    for x in X:
+        np.testing.assert_array_equal(a.matrix(x).rows, b.matrix(x).rows)
+    assert a.predict(X) == b.predict(X)
+
+
+@st.composite
+def absorbed_streams(draw):
+    """A grid bag and a stream of fresh grid rows and copies of bag rows
+    under any label, cut into chunks."""
+    bag, X = draw(grid_bags())
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            rows.append(bag.x[draw(st.integers(0, len(bag) - 1))])
+        else:
+            rows.append(np.array(draw(st.lists(st.integers(-1, 1), min_size=bag.n_features,
+                                               max_size=bag.n_features)), dtype=float))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=len(rows), max_size=len(rows)))
+    stream = Bag.classification(np.vstack(rows), labels, LABELS)
+    cuts = draw(st.sets(st.integers(1, len(stream) - 1), max_size=3)) if len(stream) > 1 else set()
+    return bag, stream, [0, *sorted(cuts), len(stream)], X
+
+
+@PROPERTY_SETTINGS
+@given(absorbed_streams())
+def test_property_incremental_equals_retrained_with_duplicate_rows(case):
+    bag, stream, bounds, X = case
+    venn = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+    merged = bag
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = stream.subset(range(lo, hi))
+        venn.train(chunk)
+        merged = merged.append(chunk)
+        ref = VennPredictor(NearestNeighborTaxonomy()).train(merged)
+        assert venn.taxonomy._fit[0].tolist() == ref.taxonomy._fit[0].tolist()
+        rows = np.vstack([X, merged.x])
+        for x in rows:
+            np.testing.assert_array_equal(venn.matrix(x).rows, ref.matrix(x).rows)
+        assert venn.predict(rows) == ref.predict(rows)
