@@ -25,6 +25,7 @@ from .ncm import (
     KnnConfig,
     KnnRegressionProvider,
     _pairwise_sq_dists,
+    _row_chunks,
     cart_train,
 )
 from .regression import ConformalRegressor, RrcmConfig
@@ -198,9 +199,19 @@ class _KnnBase:
         self._codes = np.array([code_of[lbl] for lbl in y], dtype=int)
 
     def predict(self, x):
-        sq = _pairwise_sq_dists(np.asarray(x, dtype=float), self._x)
-        near = self._codes[np.argsort(sq, axis=1, kind="stable")[:, : self.k]]
-        votes = (near[:, :, None] == np.arange(len(self._labels))).sum(axis=1)
+        x = np.asarray(x, dtype=float)
+        k, n_labels = min(self.k, len(self._x)), len(self._labels)
+        votes = np.empty((len(x), n_labels), dtype=int)
+        for chunk in _row_chunks(len(x), len(self._x)):
+            sq = _pairwise_sq_dists(x[chunk], self._x)
+            kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
+            # every row closer than the k-th distance, then the lowest-index
+            # rows at that distance until k are chosen; the vote ignores order
+            closer, tied = sq < kth, sq == kth
+            places = k - closer.sum(axis=1, keepdims=True)
+            rows, cols = np.nonzero(closer | (tied & (np.cumsum(tied, axis=1) <= places)))
+            counts = np.bincount(rows * n_labels + self._codes[cols], minlength=len(sq) * n_labels)
+            votes[chunk] = counts.reshape(len(sq), n_labels)
         return [self._labels[c] for c in votes.argmax(axis=1)]
 
 

@@ -98,6 +98,12 @@ class RegressionCoefficientProvider(ABC):
 #: bound, so scratch memory does not grow with the batch size.
 _BLOCK_ENTRIES = 1 << 16
 
+#: Most entries (rows x features x bag rows) of a distance input that
+#: :func:`_sq_dists_to` computes as one (m, d, n) block reduced over the
+#: features in a single call (256 KiB of floats); larger inputs, which the
+#: single block would push out of cache, keep the per-feature loop.
+_REDUCE_ENTRIES = 1 << 15
+
 
 def _row_chunks(m: int, n: int):
     """Slices cutting ``m`` query rows into chunks of at most ``_BLOCK_ENTRIES``
@@ -109,7 +115,8 @@ def _row_chunks(m: int, n: int):
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, accumulated per feature so coincident rows
     give exactly 0 (no cancellation tricks).  The scratch buffer covers one
-    row chunk, so the only full-size allocation is the result."""
+    row chunk or a small input, so the only full-size allocation is the
+    result."""
     return _sq_dists_to(a, _feature_rows(b))
 
 
@@ -120,13 +127,25 @@ def _feature_rows(b: np.ndarray) -> np.ndarray:
 
 
 def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    """:func:`_pairwise_sq_dists` against a bag given by its feature rows."""
+    """:func:`_pairwise_sq_dists` against a bag given by its feature rows.
+
+    Both paths add the squared feature differences in feature order.  A
+    small input is one (m, d, n) block whose reduction over axis 1 adds
+    whole feature slices in turn, as the loop does; a bag of one row stays
+    on the loop, because numpy sums a reduction over a single contiguous
+    column pairwise, in another order.
+    """
     a = np.asarray(a, dtype=float)
-    out = np.zeros((a.shape[0], b_rows.shape[1]))
-    for rows in _row_chunks(a.shape[0], b_rows.shape[1]):
+    m, (d, n) = a.shape[0], b_rows.shape
+    if n >= 2 and m * d * n <= _REDUCE_ENTRIES:
+        block = np.subtract(a[:, :, None], b_rows[None, :, :])
+        np.multiply(block, block, out=block)
+        return np.add.reduce(block, axis=1)
+    out = np.zeros((m, n))
+    for rows in _row_chunks(m, n):
         block = out[rows]
         tmp = np.empty_like(block)
-        for j in range(a.shape[1]):
+        for j in range(d):
             np.subtract(a[rows, j][:, None], b_rows[j][None, :], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
             np.add(block, tmp, out=block)
@@ -151,11 +170,26 @@ def _k_smallest(sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         kth = sq.min(axis=1)
         return np.sqrt(kth), kth
     if sq.shape[1] > k:
-        sq = np.sort(np.partition(sq, k - 1, axis=1)[:, :k], axis=1)
+        sq = _smallest(sq, k)
         kth = sq[:, k - 1].copy()
     else:
         kth = np.full(sq.shape[0], np.inf)
-    return np.sqrt(sq, order="C").sum(axis=1), kth
+    return _root_sums(sq), kth
+
+
+def _smallest(sq: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest entries in ascending order; a row of at most k
+    entries as it stands."""
+    if sq.shape[1] <= k:
+        return sq
+    if k == 1:
+        return sq.min(axis=1, keepdims=True)
+    return np.sort(np.partition(sq, k - 1, axis=1)[:, :k], axis=1)
+
+
+def _root_sums(sq: np.ndarray) -> np.ndarray:
+    """Row sums of the roots, in C order (see :func:`_k_smallest`)."""
+    return np.sqrt(sq, order="C").sum(axis=1)
 
 
 def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -223,8 +257,9 @@ def _knn_rows(
     rows' label codes (-1: a label the bag lacks) and ``columns`` the bag's
     :func:`_label_columns`; ``own[i] >= 0`` is the bag column of row i
     itself, left out of its same-label group (``own`` None: no row is in
-    the bag); ``labels[i]`` names row i in errors.  Every caller scores a row with this code, so a row's score is
-    the same bits whichever block or chunk it comes in.
+    the bag); ``labels[i]`` names row i in errors.  A row's score does not
+    depend on the block or chunk it comes in.  ``score_matrix`` shares one
+    selection between its candidate labels instead, with the same bits.
     """
     groups, rank = columns
     out = np.empty((3, sq.shape[0]))
@@ -393,9 +428,16 @@ class KnnClassifierMeasure(NonconformityMeasure):
         return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
 
     def score_matrix(self, X: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
-        """Every row paired with every candidate label, scored by the row code
-        of the training pass (``_knn_rows``) from one distance block per row
-        chunk."""
+        """Every row paired with every candidate label, from one distance
+        block and one selection per row chunk.
+
+        Each label group's k smallest squared distances are taken once.  A
+        candidate label's numerator sums its own list, as ``_knn_rows``
+        would.  The k smallest of the other groups' lists together are the
+        k smallest over all other columns, the same sorted values, so the
+        denominator has the same bits too; other columns that number
+        exactly k are summed as they stand, as ``_k_smallest`` does.
+        """
         bag, k = require_trained(self._bag, "measure"), self.config.k
         if len(bag) == 0:
             raise ValueError("empty training bag")
@@ -407,11 +449,23 @@ class KnnClassifierMeasure(NonconformityMeasure):
             _check_neighbours(k, lbl, n_same, len(bag) - n_same)
         out = np.empty((X.shape[0], len(label_space)))
         bag_rows = _feature_rows(bag.x)
+        present = sorted(set(codes))
+        column_of = [present.index(code) for code in codes]
         for rows in _row_chunks(X.shape[0], len(bag)):
             sq = _sq_dists_to(X[rows], bag_rows)
-            m = len(sq)
-            for j, (lbl, code) in enumerate(zip(label_space, codes)):
-                out[rows, j] = _knn_rows(k, sq, np.full(m, code), self._columns, None, [lbl] * m)[0]
+            near = {code: _smallest(sq[:, same], k) for code, (same, _) in groups.items()}
+            num = np.empty((len(sq), len(present)))
+            den = np.empty_like(num)
+            for j, code in enumerate(present):
+                other = groups[code][1]
+                if len(other) == k:
+                    other_sq = sq[:, other]
+                else:
+                    union = np.concatenate([s for c, s in near.items() if c != code], axis=1)
+                    other_sq = np.sort(union, axis=1)[:, :k]
+                num[:, j] = _root_sums(near[code])
+                den[:, j] = _root_sums(other_sq)
+            out[rows] = _ratio_scores(num, den)[:, column_of]
         return out
 
 

@@ -27,6 +27,19 @@ def linear_regression_bag(n, seed, noise=0.3):
     return Bag.regression(x, y)
 
 
+def sq_dists_oracle(a, b):
+    """Squared Euclidean distances of the rows of ``a`` to those of ``b``,
+    each summed feature by feature, in feature order, in Python floats."""
+    out = np.empty((len(a), len(b)))
+    for i, u in enumerate(np.asarray(a, dtype=float).tolist()):
+        for j, v in enumerate(np.asarray(b, dtype=float).tolist()):
+            total = 0.0
+            for p, q in zip(u, v):
+                total += (p - q) * (p - q)
+            out[i, j] = total
+    return out
+
+
 def sorted_score_counts(sorted_scores, alpha):
     """(strictly greater, exactly equal) counts of stored scores against alpha."""
     c = len(sorted_scores)

@@ -53,26 +53,48 @@ def stacked_scores(measure, X, labels):
     return np.vstack([measure.score(x, labels) for x in X])
 
 
+def counted_bag(counts, seed, d=2):
+    """Integer-grid bag with ``counts[i]`` examples of ``LABELS[i]``, in
+    shuffled order; its second quarter repeats the first."""
+    bag = tied_bag(sum(counts), seed, d)
+    y = [lbl for lbl, c in zip(LABELS, counts) for _ in range(c)]
+    y = [y[i] for i in np.random.default_rng(seed).permutation(len(y))]
+    return Bag.classification(bag.x, y, LABELS[: len(counts)])
+
+
+def selection_bags(k):
+    """Bags whose label groups sit at the edges of the shared selection: a
+    group of exactly k and of k + 1 examples, and other labels that together
+    number exactly k (one label of k; two labels of k - 1 and 1)."""
+    bags = [tied_bag(60, seed) for seed in range(4)]
+    bags += [counted_bag((k, 2 * k + 3, k + 4), 5), counted_bag((k + 1, k + 3, 2 * k), 6)]
+    bags.append(counted_bag((2 * k, k), 7))
+    if k >= 2:
+        bags.append(counted_bag((2 * k + 1, k - 1, 1), 8))
+    return bags
+
+
 class TestScoreMatrix:
-    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("k", [1, 3, 8, 9])
     def test_knn_equals_stacked_score_and_knn_scores(self, k):
-        for seed in range(4):
-            bag = tied_bag(60, seed)
-            X = query_rows(bag, 100 + seed)
+        for i, bag in enumerate(selection_bags(k)):
+            # the candidate labels with k same-label and k other-label examples
+            labels = tuple(lbl for lbl in bag.label_space if k <= bag.y.count(lbl) <= len(bag) - k)
+            X = query_rows(bag, 100 + i)
             measure = KnnClassifierMeasure(KnnConfig(k=k))
             measure.train(bag)
-            batch = measure.score_matrix(X, LABELS)
-            assert batch.shape == (len(X), len(LABELS))
-            np.testing.assert_array_equal(batch, stacked_scores(measure, X, LABELS))
+            batch = measure.score_matrix(X, labels)
+            assert batch.shape == (len(X), len(labels))
+            np.testing.assert_array_equal(batch, stacked_scores(measure, X, labels))
             # independent path: the bag scorer on a one-example target per label
             reference = np.array([
-                [knn_scores(KnnConfig(k=k), bag, Bag.classification([x], [lbl], LABELS), False)[0]
-                 for lbl in LABELS]
+                [knn_scores(KnnConfig(k=k), bag, Bag.classification([x], [lbl], bag.label_space), False)[0]
+                 for lbl in labels]
                 for x in X
             ])
             np.testing.assert_array_equal(batch, reference)
             np.testing.assert_array_equal(
-                batch[0], knn_score_per_label(KnnConfig(k=k), bag, X[0], LABELS)
+                batch[0], knn_score_per_label(KnnConfig(k=k), bag, X[0], labels)
             )
 
     def test_knn_chunked_block_equals_one_block(self, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from _support import gaussian_blobs, linear_regression_bag
 from conformal import save_csv
 from conformal.cli import _base_classifier, main
+from conformal.ncm import _pairwise_sq_dists
 
 
 @pytest.fixture
@@ -280,3 +281,26 @@ class TestKnnBaseVote:
         base = _base_classifier(f"knn:k={k}")
         base.fit(x, y)
         assert base.predict(queries) == counter_vote(x, y, queries, k)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_equals_full_argsort_vote_with_ties_at_the_kth_place(self, k):
+        # the vote of a full stable argsort of each distance row: the
+        # selection must take the same lower-index rows at the k-th distance
+        checked = 0
+        for seed in range(5):
+            rng = np.random.default_rng(70 + 10 * k + seed)
+            x = rng.integers(-1, 2, size=(30, 2)).astype(float)
+            y = [("B", "C", "A")[i] for i in rng.integers(0, 3, size=30)]
+            queries = np.vstack([rng.integers(-2, 3, size=(25, 2)).astype(float), x[:5]])
+            base = _base_classifier(f"knn:k={k}")
+            base.fit(x, y)
+            sq = _pairwise_sq_dists(queries, x)
+            order = np.argsort(sq, axis=1, kind="stable")
+            labels = sorted(set(y))
+            codes = np.array([labels.index(v) for v in y])
+            votes = (codes[order[:, :k]][:, :, None] == np.arange(len(labels))).sum(axis=1)
+            assert base.predict(queries) == [labels[c] for c in votes.argmax(axis=1)]
+            kth = np.take_along_axis(sq, order[:, k - 1 : k], axis=1)
+            # rows where more neighbours tie at the k-th distance than fit
+            checked += int(((sq <= kth).sum(axis=1) > k).sum())
+        assert checked > 0

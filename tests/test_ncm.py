@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import conformal.ncm as ncm
+from _support import sq_dists_oracle
 from conformal import (
     Bag,
     CartConfig,
@@ -27,6 +31,61 @@ TRAIN_1D = Bag.classification([[0.0], [1.0], [3.0]], ["A", "A", "B"])
 
 def one(x, label):
     return Bag.classification([[x]], [label], TRAIN_1D.label_space)
+
+
+@st.composite
+def distance_inputs(draw, n_bag=st.integers(1, 40), d=st.integers(1, 20)):
+    """(queries, bag): up to three fresh rows of values spread over up to
+    ``2 * spread`` decades (or on an integer grid), then copies of bag rows,
+    whose distances to those rows must be exactly 0."""
+    n, d, m = draw(n_bag), draw(d), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        rows = rng.integers(-2, 3, size=(m + n, d)).astype(float)
+    else:
+        rows = rng.standard_normal((m + n, d)) * 10.0 ** rng.uniform(-spread, spread, size=(m + n, d))
+    copies = draw(st.lists(st.integers(0, n - 1), min_size=1 if m == 0 else 0, max_size=2))
+    bag = rows[m:]
+    return np.vstack([rows[:m], bag[copies]]), bag
+
+
+def assert_oracle_distances(queries, bag):
+    got = ncm._pairwise_sq_dists(queries, bag)
+    np.testing.assert_array_equal(got, sq_dists_oracle(queries, bag))
+    same = (queries[:, None, :] == bag[None, :, :]).all(axis=2)
+    assert (got[same] == 0).all()
+
+
+class TestDistanceKernel:
+    """Both paths of ``_sq_dists_to`` add the squared feature differences in
+    feature order, so they equal the per-feature oracle bit for bit."""
+
+    # every input with a bag of two or more rows on the single reduce, or none
+    PATHS = {"reduce": 1 << 62, "loop": -1}
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=distance_inputs())
+    def test_equals_per_feature_oracle(self, path, inputs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncm, "_REDUCE_ENTRIES", self.PATHS[path])
+            assert_oracle_distances(*inputs)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=distance_inputs(n_bag=st.just(1), d=st.integers(8, 40)))
+    def test_one_row_bag_keeps_the_loop(self, inputs):
+        # numpy sums a reduction over one contiguous column pairwise
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncm, "_REDUCE_ENTRIES", self.PATHS["reduce"])
+            assert_oracle_distances(*inputs)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_both_sides_of_the_default_size_rule(self, extra):
+        rng = np.random.default_rng(extra)
+        d, n = 16, ncm._REDUCE_ENTRIES // 32 + extra  # two query rows
+        bag = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        assert_oracle_distances(np.vstack([rng.standard_normal((1, d)), bag[:1]]), bag)
 
 
 class TestKnnScores:

@@ -1,7 +1,9 @@
 """Concurrent ``predict`` / ``p_values`` on one trained instance.
 
-The CP and RRCM docstrings say a trained instance may serve concurrent
-prediction calls (CP callers each bring their own ``SeededRng``).  Four
+The CP, ICP, Venn and RRCM docstrings say a trained instance may serve
+concurrent prediction calls (CP and ICP callers each bring their own
+``SeededRng``).  Each query batch here is small enough for the distance
+kernel's single-reduce path, which allocates its block per call.  Four
 threads share one instance here, with a short switch interval so that
 they interleave inside the calls, and must give the serial results.
 """
@@ -16,11 +18,16 @@ from conformal import (
     ConformalClassifier,
     ConformalRegressor,
     CpConfig,
+    IcpConfig,
+    InductiveConformalClassifier,
     KnnClassifierMeasure,
     KnnConfig,
     KnnRegressionProvider,
+    NearestNeighborTaxonomy,
     RrcmConfig,
     SeededRng,
+    VennPredictor,
+    label_taxonomy,
 )
 
 THREADS = 4
@@ -58,3 +65,25 @@ def test_classifier_p_values_concurrently():
     for row in run_concurrently(lambda i: cp.p_values(queries[i], SeededRng(50 + i)).values):
         for got, want in zip(row, serial):
             assert np.array_equal(got, want)
+
+
+def test_inductive_classifier_p_values_concurrently():
+    bag = gaussian_blobs(300, seed=60)
+    icp = InductiveConformalClassifier(
+        KnnClassifierMeasure(KnnConfig(k=3)),
+        IcpConfig(epsilons=(0.1,), smoothed=True, taxonomy=label_taxonomy),
+    )
+    icp.train(bag.subset(range(200))).calibrate(bag.subset(range(200, 300)))
+    queries = [gaussian_blobs(8, seed=61 + i).x for i in range(THREADS)]
+    serial = [icp.p_values(q, SeededRng(70 + i)).values for i, q in enumerate(queries)]
+    for row in run_concurrently(lambda i: icp.p_values(queries[i], SeededRng(70 + i)).values):
+        for got, want in zip(row, serial):
+            assert np.array_equal(got, want)
+
+
+def test_venn_predict_concurrently():
+    venn = VennPredictor(NearestNeighborTaxonomy()).train(gaussian_blobs(300, seed=80))
+    queries = [gaussian_blobs(20, seed=81 + i).x for i in range(THREADS)]
+    serial = [venn.predict(q) for q in queries]
+    for row in run_concurrently(lambda i: venn.predict(queries[i])):
+        assert row == serial
