@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cp import ConformalClassifier, CpConfig
-from .data import Bag, SeededRng, require_trained
+from .data import Bag, SeededRng, check_observations, require_trained
 from .metrics import ConfusionMatrix, confusion_metrics
 from .ncm import NonconformityMeasure
 
@@ -300,6 +300,7 @@ class CombinedClassifier:
         self.stratified = stratified
         self.threshold: Threshold | None = None
         self.diagnostics: dict | None = None
+        self._n_features: int | None = None
 
     def train(self, bag: Bag, k_folds: int, emit_roc=None) -> "CombinedClassifier":
         """Fix the reliability threshold, then fit both classifiers on everything.
@@ -315,6 +316,7 @@ class CombinedClassifier:
         points = roc_points(ratios)
         hull = rocch(points)
         self.threshold = iso_precision_threshold(hull, self.target_precision, n_neg, n_pos)
+        self._n_features = bag.n_features
         self.hooks.b_train(bag.x, bag.y)
         if self.hooks.m_train is None:
             raise ValueError("hooks are missing the meta classifier interface")
@@ -366,6 +368,8 @@ class CombinedClassifier:
         """Base labels and decisions (base label or ABSTAIN), one pass each."""
         threshold = require_trained(self.threshold, "classifier").t
         X = np.asarray(X, dtype=float)
+        if self._n_features is not None:  # None: a threshold set without train
+            X = check_observations(X, self._n_features)
         base = list(self.hooks.b_predict(X))
         ratios = _ratios(self.hooks.m_predict_pvals, X)
         return base, [label if ratio > threshold else ABSTAIN for label, ratio in zip(base, ratios)]

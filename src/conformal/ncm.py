@@ -152,44 +152,56 @@ def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _k_smallest(sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise sum of the k smallest distances, given squared distances, and
-    the k-th smallest squared distance.
+def _smallest(block: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """Shape (rows, groups, k): the k smallest entries of each row within
+    each (non-empty) group of consecutive columns starting at ``starts``,
+    ascending; a group of fewer than k entries is padded with infinity.
 
-    sqrt is monotone, so partitioning the squares selects the same k
-    neighbours; the root is only taken for the selected entries.  numpy does
-    not promise any order within the selected part, so it is sorted, and the
-    roots are summed in C order: a row's sum depends only on the values of
-    its k smallest entries, not on the other rows of the block or on the
-    other entries of the row.  An entry added at or above the k-th smallest
-    therefore leaves it unchanged, bit for bit.  A row of exactly k entries
-    is summed as it stands and reports an infinite k-th distance: any entry
-    added to it changes the sum, so it is always scored afresh.
+    sqrt is monotone, so selecting the squares selects the same neighbours.
+    numpy promises no order within a partition's selected part, so it is
+    sorted: the result depends only on the values of a group's k smallest
+    entries, not on their columns or on the group's other entries.
     """
     if k == 1:
-        kth = sq.min(axis=1)
-        return np.sqrt(kth), kth
-    if sq.shape[1] > k:
-        sq = _smallest(sq, k)
-        kth = sq[:, k - 1].copy()
-    else:
-        kth = np.full(sq.shape[0], np.inf)
-    return _root_sums(sq), kth
-
-
-def _smallest(sq: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k smallest entries in ascending order; a row of at most k
-    entries as it stands."""
-    if sq.shape[1] <= k:
-        return sq
-    if k == 1:
-        return sq.min(axis=1, keepdims=True)
-    return np.sort(np.partition(sq, k - 1, axis=1)[:, :k], axis=1)
+        return np.minimum.reduceat(block, starts, axis=1)[:, :, None]
+    near = np.full((len(block), len(starts), k), np.inf)
+    for g, (lo, hi) in enumerate(zip(starts, [*starts[1:], block.shape[1]])):
+        part = block[:, lo:hi]
+        if hi - lo > k:
+            part = np.partition(part, k - 1, axis=1)[:, :k]
+        near[:, g, : hi - lo] = np.sort(part, axis=1)
+    return near
 
 
 def _root_sums(sq: np.ndarray) -> np.ndarray:
-    """Row sums of the roots, in C order (see :func:`_k_smallest`)."""
-    return np.sqrt(sq, order="C").sum(axis=1)
+    """Sums of the roots over the last axis, in C order (see :func:`_neighbour_sums`)."""
+    return np.sqrt(sq, order="C").sum(axis=-1)
+
+
+def _neighbour_sums(k: int, sq: np.ndarray, groups: dict, codes) -> np.ndarray:
+    """Neighbour sums of query rows from their squared distances ``sq`` to a
+    bag whose label groups are ``groups`` (:func:`_label_columns`).
+
+    Returns shape (4, rows, len(codes)): for each label code in ``codes``,
+    the sum of the roots of the k smallest same-label squared distances,
+    the same over all other labels, and the k-th smallest of each.  Each
+    group's k smallest are taken once, sorted; the k smallest of the other
+    groups' lists together are the sorted k smallest over all other
+    columns.  Every sum therefore adds the same sorted values, whatever the
+    order of the bag, the chunk a row comes in or an entry added at or
+    above the k-th smallest.  Each requested code must have k same-label
+    and k other-label columns (:func:`_check_neighbours`).
+    """
+    # one gather puts each group's columns together, C-ordered (sq[:, cols]
+    # would be F-ordered, on which row-wise selection is several times
+    # slower); group codes are 0, 1, ... in the order of ``groups``
+    sizes = [len(cols) for cols in groups.values()]
+    block = np.take(sq, np.concatenate(list(groups.values())), axis=1)
+    near = _smallest(block, np.cumsum([0] + sizes[:-1]), k)
+    others = [[c for c in groups if c != code] for code in codes]
+    other = np.sort(near[:, others].reshape(len(sq), len(codes), -1), axis=2)[:, :, :k]
+    both = np.stack([near[:, codes], other])
+    return np.concatenate([_root_sums(both), both[..., k - 1]])
 
 
 def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -234,60 +246,35 @@ class KnnConfig:
             raise ValueError("k must be a positive integer")
 
 
-def _label_columns(codes: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Per label code of a bag: the columns holding that label and the other
-    columns; plus each column's position among the columns of its label."""
-    groups = {}
-    rank = np.empty(len(codes), dtype=int)
-    for code in range(int(codes.max()) + 1 if len(codes) else 0):
-        same = codes == code
-        cols = np.flatnonzero(same)
-        rank[cols] = np.arange(len(cols))
-        groups[code] = (cols, np.flatnonzero(~same))
-    return groups, rank
+def _label_columns(codes: np.ndarray) -> dict:
+    """The bag columns holding each label code."""
+    n_codes = int(codes.max()) + 1 if len(codes) else 0
+    return {code: np.flatnonzero(codes == code) for code in range(n_codes)}
 
 
 def _knn_rows(
-    k: int, sq: np.ndarray, row_codes: np.ndarray, columns: tuple, own: np.ndarray | None, labels
+    k: int, sq: np.ndarray, row_codes: np.ndarray, groups: dict, own: np.ndarray, labels
 ) -> np.ndarray:
     """Scores of target rows from their squared distances ``sq`` to the bag.
 
     Returns shape (3, rows): the scores, then each row's k-th smallest
     same-label and other-label squared distance.  ``row_codes`` are the
-    rows' label codes (-1: a label the bag lacks) and ``columns`` the bag's
+    rows' label codes (-1: a label the bag lacks) and ``groups`` the bag's
     :func:`_label_columns`; ``own[i] >= 0`` is the bag column of row i
-    itself, left out of its same-label group (``own`` None: no row is in
-    the bag); ``labels[i]`` names row i in errors.  A row's score does not
-    depend on the block or chunk it comes in.  ``score_matrix`` shares one
-    selection between its candidate labels instead, with the same bits.
+    itself, set to infinity in ``sq`` so that it leaves row i's same-label
+    group; ``labels[i]`` names row i in errors.
     """
-    groups, rank = columns
-    out = np.empty((3, sq.shape[0]))
     present = sorted(set(row_codes.tolist()))
+    has_own = own >= 0
     for code in present:
-        if len(present) == 1:
-            # the common block of a single label: all rows, no index arrays
-            rows, first = slice(None), 0
-        else:
-            rows = np.flatnonzero(row_codes == code)
-            first = rows[0]
-        if code in groups:
-            same, other = groups[code]
-        else:
-            same, other = rank[:0], np.arange(sq.shape[1])
-        block = sq[rows]
-        same_sq = block[:, same]
-        n_same = len(same)
-        if own is not None:
-            cols = own[rows]
-            has_own = cols >= 0
-            same_sq[has_own, rank[cols[has_own]]] = np.inf
-            n_same -= int(has_own.any())
-        _check_neighbours(k, labels[first], n_same, len(other))
-        num, out[1, rows] = _k_smallest(same_sq, k)
-        den, out[2, rows] = _k_smallest(block[:, other], k)
-        out[0, rows] = _ratio_scores(num, den)
-    return out
+        mine = row_codes == code
+        n_same = len(groups.get(code, ()))
+        n_usable = n_same - int(has_own[mine].any())
+        _check_neighbours(k, labels[mine.argmax()], n_usable, sq.shape[1] - n_same)
+    sq[has_own, own[has_own]] = np.inf
+    sums = _neighbour_sums(k, sq, groups, present)
+    num, den, kth_same, kth_other = sums[:, np.arange(len(sq)), np.searchsorted(present, row_codes)]
+    return np.stack([_ratio_scores(num, den), kth_same, kth_other])
 
 
 def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool) -> np.ndarray:
@@ -300,7 +287,10 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     each example is excluded from its own same-label group (otherwise its
     zero self-distance would swamp every score); exclusion drops one
     zero-distance same-label occurrence, which also lets sub-bags of the
-    training bag be scored.  The target is scored in row chunks.
+    training bag be scored: its distance is set to infinity.  The target is
+    scored in row chunks through :func:`_neighbour_sums`, the selection
+    that ``KnnClassifierMeasure.score_matrix`` uses too, so every score is
+    invariant under permutation of the training bag.
     """
     return _knn_scores_kth(cfg, training, target, is_training_bag)[0]
 
@@ -315,28 +305,26 @@ def _knn_scores_kth(
     # when the target is the training bag itself, example i is its own column i
     aligned = target is training or (target.x is training.x and target.y == training.y)
     codes, code_of = _label_codes(training.y)
-    columns = _label_columns(codes)
+    groups = _label_columns(codes)
     if aligned:
         target_codes = codes
     else:
         target_codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
-    # rows of one label together, so that most chunks hold a single label
-    order = np.argsort(target_codes, kind="stable")
     bag_rows = _feature_rows(training.x)
+    index = np.arange(len(target))
     out = np.empty((3, len(target)))
-    for chunk in _row_chunks(len(target), len(training)):
-        idx = order[chunk]
-        sq = _sq_dists_to(target.x[idx], bag_rows)
-        row_codes = target_codes[idx]
+    for rows in _row_chunks(len(target), len(training)):
+        sq = _sq_dists_to(target.x[rows], bag_rows)
+        row_codes = target_codes[rows]
         if not is_training_bag:
-            own = None
+            own = np.full(len(sq), -1)
         elif aligned:
-            own = idx
+            own = index[rows]
         else:
             # the example itself: its first zero-distance same-label occurrence
             zero = (sq == 0) & (codes[None, :] == row_codes[:, None])
             own = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
-        out[:, idx] = _knn_rows(cfg.k, sq, row_codes, columns, own, [target.y[i] for i in idx])
+        out[:, rows] = _knn_rows(cfg.k, sq, row_codes, groups, own, target.y[rows])
     return out[0], out[1:]
 
 
@@ -363,6 +351,8 @@ def knn_score_per_label(
 class KnnClassifierMeasure(NonconformityMeasure):
     """Nonconformity as the ratio of same-label to other-label neighbour distances.
 
+    ``scores``, ``extend`` and ``score_matrix`` take the k nearest through
+    one sorted selection per label group (:func:`_neighbour_sums`).
     ``extend`` also keeps each example of the bag it fits with its score
     and its k-th smallest same-label and other-label squared distance (O(n)
     floats), so the next ``extend`` rescores only the examples a new example
@@ -374,14 +364,14 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._bag: Bag | None = None
         self._codes: np.ndarray | None = None
         self._code_of: dict = {}
-        self._columns: tuple | None = None  # _label_columns of _codes
+        self._groups: dict = {}  # _label_columns of _codes
         # (scores, kth) of the bag fitted by extend
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
         self._codes, self._code_of = _label_codes(bag.y)
-        self._columns = _label_columns(self._codes)
+        self._groups = _label_columns(self._codes)
         self._fit = None
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
@@ -408,19 +398,18 @@ class KnnClassifierMeasure(NonconformityMeasure):
         same = codes[n_old:, None] == codes[None, :n_old]
         closer = new_sq < np.where(same, old_kth[0], old_kth[1])
         rows = np.concatenate([np.flatnonzero(closer.any(axis=0)), np.arange(n_old, n)])
-        columns = _label_columns(codes)
+        groups = _label_columns(codes)
         fresh = np.empty((3, len(rows)))
         for chunk in _row_chunks(len(rows), n):
             idx = rows[chunk]
             sq = _pairwise_sq_dists(bag.x[idx], bag.x)
-            fresh[:, chunk] = _knn_rows(
-                self.config.k, sq, codes[idx], columns, idx, [bag.y[i] for i in idx]
-            )
+            labels = [bag.y[i] for i in idx]
+            fresh[:, chunk] = _knn_rows(self.config.k, sq, codes[idx], groups, idx, labels)
         scores = np.concatenate([old_scores, np.empty(n - n_old)])
         kth = np.concatenate([old_kth, np.empty((2, n - n_old))], axis=1)
         scores[rows] = fresh[0]
         kth[:, rows] = fresh[1:]
-        self._bag, self._codes, self._code_of, self._columns = bag, codes, code_of, columns
+        self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
         self._fit = (scores, kth)
         return scores.copy()
 
@@ -429,43 +418,22 @@ class KnnClassifierMeasure(NonconformityMeasure):
 
     def score_matrix(self, X: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
         """Every row paired with every candidate label, from one distance
-        block and one selection per row chunk.
-
-        Each label group's k smallest squared distances are taken once.  A
-        candidate label's numerator sums its own list, as ``_knn_rows``
-        would.  The k smallest of the other groups' lists together are the
-        k smallest over all other columns, the same sorted values, so the
-        denominator has the same bits too; other columns that number
-        exactly k are summed as they stand, as ``_k_smallest`` does.
-        """
+        block and one :func:`_neighbour_sums` per row chunk, which selects
+        each label group's k smallest squared distances once for all the
+        candidate labels, exactly as training scores select them."""
         bag, k = require_trained(self._bag, "measure"), self.config.k
         if len(bag) == 0:
             raise ValueError("empty training bag")
         X = check_observations(X, bag.n_features)
         codes = [self._code_of.get(lbl, -1) for lbl in label_space]
-        groups = self._columns[0]
         for lbl, code in zip(label_space, codes):
-            n_same = len(groups[code][0]) if code in groups else 0
+            n_same = len(self._groups.get(code, ()))
             _check_neighbours(k, lbl, n_same, len(bag) - n_same)
         out = np.empty((X.shape[0], len(label_space)))
         bag_rows = _feature_rows(bag.x)
-        present = sorted(set(codes))
-        column_of = [present.index(code) for code in codes]
         for rows in _row_chunks(X.shape[0], len(bag)):
-            sq = _sq_dists_to(X[rows], bag_rows)
-            near = {code: _smallest(sq[:, same], k) for code, (same, _) in groups.items()}
-            num = np.empty((len(sq), len(present)))
-            den = np.empty_like(num)
-            for j, code in enumerate(present):
-                other = groups[code][1]
-                if len(other) == k:
-                    other_sq = sq[:, other]
-                else:
-                    union = np.concatenate([s for c, s in near.items() if c != code], axis=1)
-                    other_sq = np.sort(union, axis=1)[:, :k]
-                num[:, j] = _root_sums(near[code])
-                den[:, j] = _root_sums(other_sq)
-            out[rows] = _ratio_scores(num, den)[:, column_of]
+            num, den, _, _ = _neighbour_sums(k, _sq_dists_to(X[rows], bag_rows), self._groups, codes)
+            out[rows] = _ratio_scores(num, den)
         return out
 
 
@@ -581,10 +549,10 @@ class CartConfig:
     min_leaf: int = 1
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be at least 1")
+        for name in ("max_depth", "min_leaf"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
 
 
 class CartNode:

@@ -228,12 +228,30 @@ class TestMetaCommand:
             main(["meta", "--train", train, "--test", test, "--k-folds", "1"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("spec", ["knn:k=0", "knn:k=3,foo=1", "knn:k=2.5", "cart:depth=2"])
+    @pytest.mark.parametrize("spec", ["knn:k=0", "knn:k=3,foo=1", "knn:k=2.5", "cart:depth=2",
+                                      "cart:max_depth=2,min_leaf=1.5", "cart:max_depth=2.5"])
     def test_bad_base_spec_is_usage_error(self, class_files, spec):
         train, test = class_files
         with pytest.raises(SystemExit) as err:
             main(["meta", "--train", train, "--test", test, "--base", spec])
         assert err.value.code == 2
+
+    def test_fractional_cart_measure_is_usage_error(self, class_files):
+        train, test = class_files
+        with pytest.raises(SystemExit) as err:
+            main(["meta", "--train", train, "--test", test, "--ncm", "cart:max_depth=2,min_leaf=1.5"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("base", ["cart:max_depth=2", "knn:k=3"])
+    def test_narrower_test_rows_are_data_error(self, tmp_path, capsys, base):
+        train, test = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        # overlapping classes so the base classifier leaves enough meta zeros
+        save_csv(gaussian_blobs(80, seed=9, centers=((0, 0, 0), (1, 1, 1))), train)
+        save_csv(gaussian_blobs(10, seed=2), test)
+        code = main(["meta", "--train", str(train), "--test", str(test), "--base", base,
+                     "--k-folds", "3", "--output", str(tmp_path / "meta.json")])
+        assert code == 1
+        assert "error: observations must form a matrix with 3 columns" in capsys.readouterr().err
 
     def test_cart_base(self, tmp_path):
         # overlapping classes so the base classifier leaves enough meta zeros

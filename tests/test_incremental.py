@@ -32,7 +32,7 @@ from conformal import (
     knn_scores,
     label_taxonomy,
 )
-from conformal.ncm import _k_smallest
+from conformal.ncm import _neighbour_sums
 
 LABELS = ("A", "B", "C")
 EPSILONS = (0.05, 0.2)
@@ -292,27 +292,41 @@ class TestRegression:
             assert report.per_epsilon[eps].miss_rate == misses / len(stream)
 
 
+def k_smallest(sq, k):
+    """Each row's neighbour sum over its k smallest entries, and the k-th
+    smallest, as :func:`_neighbour_sums` computes them once as the
+    same-label group (numerator) and once as the other labels
+    (denominator) of a bag with a second group of k ones."""
+    w = sq.shape[1]
+    block = np.hstack([sq, np.ones((len(sq), k))])
+    num, den, kth_same, kth_other = _neighbour_sums(k, block, {0: np.arange(w), 1: w + np.arange(k)}, [0, 1])
+    assert same_bits(num[:, 0], den[:, 1]) and same_bits(kth_same[:, 0], kth_other[:, 1])
+    return num[:, 0], kth_same[:, 0]
+
+
 class TestNeighbourSums:
     @pytest.mark.parametrize("k", [2, 4, 9, 16])
     def test_sum_depends_only_on_the_k_smallest_values(self, k):
         # a kept score is only valid if neither the order of a row's entries
-        # nor an entry added at or above its k-th smallest changes the sum
+        # nor an entry added at or above its k-th smallest changes the sum;
+        # a row of exactly k entries included
         rng = np.random.default_rng(k)
-        sq = np.vstack([rng.random((20, 600)), rng.integers(0, 9, (20, 600)).astype(float)])
-        sums, kth = _k_smallest(sq, k)
-        for trial in range(5):
-            perm = rng.permutation(sq.shape[1])
-            assert same_bits(_k_smallest(sq[:, perm], k)[0], sums)
-            extra = kth[:, None] + rng.integers(0, 2, (len(sq), 50)) * rng.random((len(sq), 50))
-            wider = np.hstack([sq, extra])[:, rng.permutation(650)]
-            assert same_bits(_k_smallest(wider, k)[0], sums)
+        for width in (600, k):
+            sq = np.vstack([rng.random((20, width)), rng.integers(0, 9, (20, width)).astype(float)])
+            sums, kth = k_smallest(sq, k)
+            for trial in range(5):
+                perm = rng.permutation(sq.shape[1])
+                assert same_bits(k_smallest(sq[:, perm], k)[0], sums)
+                extra = kth[:, None] + rng.integers(0, 2, (len(sq), 50)) * rng.random((len(sq), 50))
+                wider = np.hstack([sq, extra])[:, rng.permutation(width + 50)]
+                assert same_bits(k_smallest(wider, k)[0], sums)
 
     @pytest.mark.parametrize("k", [3, 4, 9, 16])
     def test_sum_ignores_the_order_numpy_selects_in(self, monkeypatch, k):
         # numpy promises only that the k smallest come first, in some order
         rng = np.random.default_rng(k)
         sq = rng.random((40, 300))
-        sums, kth = _k_smallest(sq, k)
+        sums, kth = k_smallest(sq, k)
         partition = np.partition
 
         def reversed_selection(a, kth, axis=-1):
@@ -321,8 +335,8 @@ class TestNeighbourSums:
             return out
 
         monkeypatch.setattr(np, "partition", reversed_selection)
-        assert same_bits(_k_smallest(sq, k)[0], sums)
-        assert same_bits(_k_smallest(sq, k)[1], kth)
+        assert same_bits(k_smallest(sq, k)[0], sums)
+        assert same_bits(k_smallest(sq, k)[1], kth)
 
 
 class TestQueryWidth:

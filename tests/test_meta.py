@@ -427,6 +427,19 @@ class TestCombinedClassifier:
         assert rows == {"base": 10, "meta": 10}
         assert cm.rp + cm.rn == sum(d is ABSTAIN for d in combined.predict(bag.x)) == 6
 
+    def test_rows_of_another_width_rejected_before_any_hook(self):
+        combined, bag = self._combined()
+        combined.train(bag, 4)
+        calls = []
+        combined.hooks = ClassifierHooks(combined.hooks.b_train, lambda x: calls.append(x),
+                                         combined.hooks.m_train, lambda x: calls.append(x))
+        for width in (1, 3):
+            with pytest.raises(ValueError, match="matrix with 2 columns"):
+                combined.predict(np.zeros((4, width)))
+            with pytest.raises(ValueError, match="matrix with 2 columns"):
+                combined.score(Bag.classification(np.zeros((4, width)), ["A"] * 4, bag.label_space))
+        assert calls == []
+
     def test_raising_threshold_monotone_in_tp_fp(self):
         meta_stub = FixedRatioMeta(lambda row: float(row[0]))
         bag = Bag.classification([[float(i)] for i in range(20)],

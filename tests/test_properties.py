@@ -147,3 +147,43 @@ def test_unsmoothed_cp_p_values_invariant_under_bag_permutation(bag_and_queries,
         cp_for(bag, taxonomy, k=k).p_values(X).values,
         cp_for(shuffled, taxonomy, k=k).p_values(X).values,
     )
+
+
+@st.composite
+def exact_k_bags(draw):
+    """A continuous bag in which one label, or the labels other than the
+    first together, hold exactly k examples; the labels with k same-label
+    and k other-label examples; query rows; and a calibration bag of those
+    labels."""
+    k = draw(st.integers(3, 4))
+    split = draw(st.integers(0, k - 1))
+    # (m, k): B holds exactly k and A's other labels number exactly k;
+    # (m, split, k - split): B and C together hold exactly k
+    counts = (draw(st.integers(k + 1, 2 * k + 3)), k) if split == 0 else (
+        draw(st.integers(k, 2 * k + 3)), split, k - split)
+    labels = LABELS[: len(counts)]
+    y = draw(st.permutations([lbl for lbl, c in zip(labels, counts) for _ in range(c)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    bag = Bag.classification(rng.normal(size=(len(y), d)), y, labels)
+    scored = tuple(lbl for lbl, c in zip(labels, counts) if k <= c <= len(y) - k)
+    cal_y = [scored[i % len(scored)] for i in range(6)]
+    calibration = Bag.classification(rng.normal(size=(6, d)), cal_y, labels)
+    return k, bag, scored, rng.normal(size=(5, d)), calibration
+
+
+@SETTINGS
+@given(exact_k_bags(), st.randoms(use_true_random=False))
+def test_knn_scores_bit_identical_under_bag_permutation_with_exactly_k(case, random):
+    # a sum over exactly k neighbours must not depend on the bag's column order
+    k, bag, labels, X, calibration = case
+    order = list(range(len(bag)))
+    random.shuffle(order)
+    results = []
+    for b in (bag, bag.subset(order)):
+        measure = KnnClassifierMeasure(KnnConfig(k=k))
+        measure.train(b)
+        icp = InductiveConformalClassifier(KnnClassifierMeasure(KnnConfig(k=k)), IcpConfig(EPSILONS))
+        store = icp.train(b).calibrate(calibration)._store
+        results.append([measure.score_matrix(X, labels).tobytes()] + [s.tobytes() for s in store.values()])
+    assert results[0] == results[1]
