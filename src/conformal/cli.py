@@ -401,12 +401,8 @@ def _run_meta(args) -> dict:
     train_bag = load_csv(args.train, column, "class")
     test_bag = load_csv(args.test, column, "class")
     base = _base_classifier(args.base)
-    measure_spec = args.ncm
-
-    def measure_factory():
-        return _classification_measure(measure_spec)
-
-    hooks = conformal_meta_hooks(base.fit, base.predict, measure_factory)
+    _classification_measure(args.ncm)  # a bad --ncm is a usage error before any training
+    hooks = conformal_meta_hooks(base.fit, base.predict, lambda: _classification_measure(args.ncm))
     if args.k_folds < 2 or args.k_folds > len(train_bag):
         raise UsageError(f"--k-folds must lie in [2, {len(train_bag)}]")
     if not 0.0 < args.target_precision < 1.0:

@@ -292,10 +292,9 @@ class ConformalClassifier(ScoreStoreClassifier):
             raise ValueError("cannot train on an empty bag")
         if len(merged) and not merged.is_classification:
             raise ValueError("the conformal classifier needs a classification bag")
-        n_old = 0 if fresh else len(self._bag)
-        categorised = self._categorise(merged.x[n_old:], merged.y[n_old:], fresh)
+        categorised = self._categorise(bag.x, bag.y, fresh)
         try:
-            scores = _checked_scores(self.measure.extend(merged, n_old), (len(merged),))
+            scores = _checked_scores(self.measure.extend(merged), (len(merged),))
         except ValueError:
             if self._bag is not None:
                 # the measure may have absorbed the rejected examples

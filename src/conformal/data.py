@@ -113,15 +113,17 @@ class Bag:
     def append(self, other: "Bag") -> "Bag":
         """New bag with this bag's examples followed by ``other``'s.
 
-        Label spaces are merged (sorted) so a stream may introduce labels.
-        Only ``other``'s examples are checked: this bag's were checked when
-        it was built, and its labels stay inside the merged label space.
+        The label space is this bag's, in its order, followed by the labels
+        only ``other``'s label space holds, sorted, so a stream may
+        introduce labels without reordering the known ones.  Only
+        ``other``'s examples are checked: this bag's were checked when it
+        was built, and its labels stay inside the merged label space.
         """
         if self.is_classification != other.is_classification and (self.y or other.y):
             raise ValueError("cannot mix classification and regression bags")
         if self.n_features != other.n_features:
             raise ValueError("feature arity mismatch")
-        space = tuple(sorted(set(self.label_space) | set(other.label_space)))
+        space = self.label_space + tuple(sorted(set(other.label_space) - set(self.label_space)))
         tail = Bag(other.x, other.y, space)
         merged = Bag.__new__(Bag)
         merged.x = np.vstack([self.x, tail.x])

@@ -121,9 +121,8 @@ def kfold_meta_data(
     """
     folds = _fold_indices(len(bag), k, seed, bag.y if stratified else None)
     meta_labels = np.empty(len(bag), dtype=int)
-    everything = np.arange(len(bag))
     for fold in folds:
-        rest = np.setdiff1d(everything, fold)
+        rest = np.delete(np.arange(len(bag)), fold)
         train = bag.subset(rest)
         hooks.b_train(train.x, train.y)
         predictions = hooks.b_predict(bag.x[fold])
@@ -153,10 +152,9 @@ def score_ratios(
     if y.min() == y.max():
         raise ValueError("need both meta classes to score")
     folds = _fold_indices(len(meta), k, seed, y if stratified else None)
-    everything = np.arange(len(meta))
     out: list[tuple[float, int]] = []
     for fold in folds:
-        rest = np.setdiff1d(everything, fold)
+        rest = np.delete(np.arange(len(meta)), fold)
         if y[rest].min() == y[rest].max():
             raise ValueError(
                 "a fold's training part holds a single meta class; "

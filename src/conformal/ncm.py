@@ -54,14 +54,14 @@ class NonconformityMeasure(ABC):
             out[i] = self.score(x, label_space)
         return out
 
-    def extend(self, bag: Bag, n_old: int) -> np.ndarray:
-        """Absorb new examples: train on ``bag`` and return its training scores.
+    def extend(self, bag: Bag) -> np.ndarray:
+        """Train on ``bag`` and return its training scores.
 
-        The first ``n_old`` examples of ``bag`` are the bag of the previous
-        ``train`` or ``extend`` call.  The result must equal
-        ``train(bag)`` followed by ``scores(bag, True)``, which is what this
-        default does; a measure overrides it to update only the scores the
-        new examples change.
+        The result must equal ``train(bag)`` followed by ``scores(bag,
+        True)``, which is what this default does.  A measure overrides it to
+        update only the scores that new examples change when ``bag`` starts
+        with exactly the bag of its previous ``extend`` call; it decides
+        that itself.
         """
         self.train(bag)
         return self.scores(bag, True)
@@ -82,12 +82,13 @@ class RegressionCoefficientProvider(ABC):
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:
         """Coefficients (a, b) for a new observation."""
 
-    def extend(self, bag: Bag, n_old: int) -> tuple[np.ndarray, np.ndarray]:
-        """Absorb new examples: train on ``bag`` and return its coefficients.
+    def extend(self, bag: Bag) -> tuple[np.ndarray, np.ndarray]:
+        """Train on ``bag`` and return its coefficients.
 
-        The first ``n_old`` examples of ``bag`` are the bag of the previous
-        ``train`` or ``extend`` call.  The result must equal ``train(bag)``
-        followed by ``coeffs(bag, True)``, which is what this default does.
+        The result must equal ``train(bag)`` followed by ``coeffs(bag,
+        True)``, which is what this default does.  A provider overrides it
+        to update only what new examples change when ``bag`` starts with
+        exactly the bag of its previous ``extend`` call.
         """
         self.train(bag)
         return self.coeffs(bag, True)
@@ -221,14 +222,26 @@ def _check_neighbours(k: int, lbl: Label, n_same: int, n_other: int) -> None:
         raise ValueError(f"label {lbl!r}: {n_other} other-label neighbour(s) available, need k={k}")
 
 
-def _continues(old: "Bag | None", bag: Bag, n_old: int) -> bool:
-    """Whether the first ``n_old`` examples of ``bag`` are exactly ``old``."""
-    return (
-        old is not None
-        and len(old) == n_old <= len(bag)
-        and old.y == bag.y[:n_old]
-        and np.array_equal(old.x, bag.x[:n_old])
-    )
+def _resume(held: Bag | None, fit, bag: Bag, empty) -> tuple:
+    """``(n_old, arrays)``.  ``n_old`` is ``len(held)`` when ``bag`` starts
+    with exactly the examples of ``held``, the bag that ``fit`` (None:
+    nothing usable) was made for; otherwise it is 0 and ``empty`` stands in
+    for ``fit``.  ``arrays`` are new copies of the fit's arrays, each grown
+    along its last axis to ``len(bag)`` entries, the new entries unset."""
+    n = 0 if fit is None else len(held)
+    if fit is None or n > len(bag) or held.y != bag.y[:n] or not np.array_equal(held.x, bag.x[:n]):
+        n, fit = 0, empty
+    new = len(bag) - n
+    return n, tuple(np.concatenate([f, np.empty(f.shape[:-1] + (new,), f.dtype)], axis=-1) for f in fit)
+
+
+def _rows_to_compute(bag: Bag, n_old: int, threshold: np.ndarray) -> np.ndarray:
+    """Every old example (of the first ``n_old``) that some new example comes
+    strictly closer to than its squared-distance ``threshold``, followed by
+    the new examples; a tie changes nothing.  ``threshold`` broadcasts
+    against the (new, old) squared distances."""
+    closer = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old]) < threshold
+    return np.concatenate([np.flatnonzero(closer.any(axis=0)), np.arange(n_old, len(bag))])
 
 
 @dataclass(frozen=True)
@@ -292,16 +305,6 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     that ``KnnClassifierMeasure.score_matrix`` uses too, so every score is
     invariant under permutation of the training bag.
     """
-    return _knn_scores_kth(cfg, training, target, is_training_bag)[0]
-
-
-def _knn_scores_kth(
-    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`knn_scores` and, shape (2, len(target)), each example's k-th
-    smallest same-label and other-label squared distance.  A new training
-    example changes an example's score only if it is strictly closer than
-    the threshold of its group."""
     # when the target is the training bag itself, example i is its own column i
     aligned = target is training or (target.x is training.x and target.y == training.y)
     codes, code_of = _label_codes(training.y)
@@ -312,7 +315,7 @@ def _knn_scores_kth(
         target_codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
     bag_rows = _feature_rows(training.x)
     index = np.arange(len(target))
-    out = np.empty((3, len(target)))
+    out = np.empty(len(target))
     for rows in _row_chunks(len(target), len(training)):
         sq = _sq_dists_to(target.x[rows], bag_rows)
         row_codes = target_codes[rows]
@@ -324,8 +327,8 @@ def _knn_scores_kth(
             # the example itself: its first zero-distance same-label occurrence
             zero = (sq == 0) & (codes[None, :] == row_codes[:, None])
             own = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
-        out[:, rows] = _knn_rows(cfg.k, sq, row_codes, groups, own, target.y[rows])
-    return out[0], out[1:]
+        out[rows] = _knn_rows(cfg.k, sq, row_codes, groups, own, target.y[rows])[0]
+    return out
 
 
 def _label_codes(y: Sequence[Label], codes: np.ndarray | None = None, code_of: dict | None = None):
@@ -355,14 +358,15 @@ class KnnClassifierMeasure(NonconformityMeasure):
     one sorted selection per label group (:func:`_neighbour_sums`).
     ``extend`` also keeps each example of the bag it fits with its score
     and its k-th smallest same-label and other-label squared distance (O(n)
-    floats), so the next ``extend`` rescores only the examples a new example
-    comes closer to than that threshold, plus the new examples themselves.
+    floats), so the next ``extend``, when its bag continues that one,
+    rescores only the examples a new example comes closer to than that
+    threshold, plus the new examples themselves.
     """
 
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
         self._bag: Bag | None = None
-        self._codes: np.ndarray | None = None
+        self._codes = np.empty(0, dtype=int)
         self._code_of: dict = {}
         self._groups: dict = {}  # _label_columns of _codes
         # (scores, kth) of the bag fitted by extend
@@ -377,38 +381,27 @@ class KnnClassifierMeasure(NonconformityMeasure):
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
         return knn_scores(self.config, require_trained(self._bag, "measure"), bag, is_training_bag)
 
-    def extend(self, bag: Bag, n_old: int) -> np.ndarray:
-        """Training scores of ``bag``, updating only what its new examples change.
+    def extend(self, bag: Bag) -> np.ndarray:
+        """Training scores of ``bag``; when it continues the bag of the last
+        ``extend``, only the rows its new examples change are rescored.
 
-        When the held state is for ``bag``'s first ``n_old`` examples, a new
-        example's label with too few neighbours raises, as training on
-        ``bag`` would, before any state changes.
+        A label with too few neighbours raises, as ``scores`` would, before
+        any state changes.
         """
-        if self._fit is None or not _continues(self._bag, bag, n_old):
-            self.train(bag)
-            self._fit = _knn_scores_kth(self.config, bag, bag, True)
-            return self._fit[0].copy()
-        n = len(bag)
-        codes, code_of = _label_codes(bag.y[n_old:], self._codes, self._code_of)
-        old_scores, old_kth = self._fit
-        # old example i changes only if a new example of its own label comes
+        n_old, (scores, kth) = _resume(self._bag, self._fit, bag, (np.empty(0), np.empty((2, 0))))
+        codes, code_of = _label_codes(bag.y[n_old:], self._codes[:n_old], self._code_of if n_old else None)
+        # an old example changes only if a new example of its own label comes
         # closer than its same-label threshold, or one of another label
-        # closer than its other-label threshold; a tie changes nothing
-        new_sq = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old])
+        # closer than its other-label threshold
         same = codes[n_old:, None] == codes[None, :n_old]
-        closer = new_sq < np.where(same, old_kth[0], old_kth[1])
-        rows = np.concatenate([np.flatnonzero(closer.any(axis=0)), np.arange(n_old, n)])
+        rows = _rows_to_compute(bag, n_old, np.where(same, kth[0, :n_old], kth[1, :n_old]))
         groups = _label_columns(codes)
-        fresh = np.empty((3, len(rows)))
-        for chunk in _row_chunks(len(rows), n):
+        bag_rows = _feature_rows(bag.x)
+        for chunk in _row_chunks(len(rows), len(bag)):
             idx = rows[chunk]
-            sq = _pairwise_sq_dists(bag.x[idx], bag.x)
-            labels = [bag.y[i] for i in idx]
-            fresh[:, chunk] = _knn_rows(self.config.k, sq, codes[idx], groups, idx, labels)
-        scores = np.concatenate([old_scores, np.empty(n - n_old)])
-        kth = np.concatenate([old_kth, np.empty((2, n - n_old))], axis=1)
-        scores[rows] = fresh[0]
-        kth[:, rows] = fresh[1:]
+            sq = _sq_dists_to(bag.x[idx], bag_rows)
+            fresh = _knn_rows(self.config.k, sq, codes[idx], groups, idx, [bag.y[i] for i in idx])
+            scores[idx], kth[:, idx] = fresh[0], fresh[1:]
         self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
         self._fit = (scores, kth)
         return scores.copy()
@@ -453,16 +446,6 @@ def knn_regression_coeffs(
     Each example is excluded from its own neighbourhood when the target is
     the training bag; distance ties break by ascending bag index.
     """
-    a, _ = _knn_regression_coeffs_kth(cfg, training, target, is_training_bag)
-    return a, np.zeros(len(target))
-
-
-def _knn_regression_coeffs_kth(
-    cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The a coefficients of :func:`knn_regression_coeffs` and each example's
-    k-th smallest squared distance: a new training example enters the
-    neighbourhood of example i only if it is strictly closer than that."""
     k = cfg.k
     available = len(training) - (1 if is_training_bag else 0)
     if available < k:
@@ -472,8 +455,8 @@ def _knn_regression_coeffs_kth(
     sq = _pairwise_sq_dists(target.x, training.x)
     if is_training_bag:
         np.fill_diagonal(sq, np.inf)
-    means, kth = _nearest_label_means(k, sq, np.asarray(training.y, dtype=float))
-    return np.asarray(target.y, dtype=float) - means, kth
+    means, _ = _nearest_label_means(k, sq, np.asarray(training.y, dtype=float))
+    return np.asarray(target.y, dtype=float) - means, np.zeros(len(target))
 
 
 def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tuple[float, float]:
@@ -490,10 +473,10 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
     """Coefficient provider built on nearest-neighbour label averages.
 
     ``extend`` keeps the coefficients of the bag it fits with each example's
-    k-th smallest squared distance, so the next ``extend`` recomputes a_i
-    only for the examples a new example comes strictly closer to than that,
-    plus the new examples themselves (the stable order puts the new, largest
-    index after any ties).
+    k-th smallest squared distance, so the next ``extend``, when its bag
+    continues that one, recomputes a_i only for the examples a new example
+    comes strictly closer to than that, plus the new examples themselves
+    (the stable order puts the new, largest index after any ties).
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -510,23 +493,19 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         training = require_trained(self._bag, "provider")
         return knn_regression_coeffs(self.config, training, bag, is_training_bag)
 
-    def extend(self, bag: Bag, n_old: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._fit is None or not _continues(self._bag, bag, n_old):
-            self.train(bag)
-            self._fit = _knn_regression_coeffs_kth(self.config, bag, bag, True)
-            return self._fit[0].copy(), np.zeros(len(bag))
-        n = len(bag)
-        old_a, old_kth = self._fit
-        closer = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old]) < old_kth
-        rows = np.concatenate([np.flatnonzero(closer.any(axis=0)), np.arange(n_old, n)])
+    def extend(self, bag: Bag) -> tuple[np.ndarray, np.ndarray]:
+        n, k = len(bag), self.config.k
+        if n - 1 < k:
+            raise ValueError(f"need k={k} neighbours, only {n - 1} available")
+        n_old, (a, kth) = _resume(self._bag, self._fit, bag, (np.empty(0), np.empty(0)))
+        rows = _rows_to_compute(bag, n_old, kth[:n_old])
         labels = np.asarray(bag.y, dtype=float)
-        a = np.concatenate([old_a, np.empty(n - n_old)])
-        kth = np.concatenate([old_kth, np.empty(n - n_old)])
+        bag_rows = _feature_rows(bag.x)
         for chunk in _row_chunks(len(rows), n):
             idx = rows[chunk]
-            sq = _pairwise_sq_dists(bag.x[idx], bag.x)
+            sq = _sq_dists_to(bag.x[idx], bag_rows)
             sq[np.arange(len(idx)), idx] = np.inf
-            means, kth[idx] = _nearest_label_means(self.config.k, sq, labels)
+            means, kth[idx] = _nearest_label_means(k, sq, labels)
             a[idx] = labels[idx] - means
         self._bag = bag
         self._fit = (a, kth)

@@ -243,8 +243,7 @@ class ConformalRegressor:
             raise ValueError("cannot train on an empty bag")
         if merged.is_classification:
             raise ValueError("the regression predictor needs a regression bag")
-        n_old = 0 if fresh else len(self._bag)
-        a, b = self.provider.extend(merged, n_old)
+        a, b = self.provider.extend(merged)
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.shape != (len(merged),) or b.shape != (len(merged),):

@@ -16,7 +16,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .data import Bag, Label, check_labels_known, check_observations, require_trained
-from .ncm import _continues, _feature_rows, _pairwise_sq_dists, _row_chunks, _sq_dists_to
+from .ncm import _feature_rows, _resume, _row_chunks, _rows_to_compute, _sq_dists_to
 
 
 class VennTaxonomy(ABC):
@@ -48,14 +48,14 @@ class VennTaxonomy(ABC):
             for x, ys, contains in zip(X, hypotheses, contains_x)
         ]
 
-    def extend(self, bag: Bag, n_old: int) -> list[Hashable]:
-        """Absorb new examples: train on ``bag`` and return the category of
-        every bag example (x_i, y_i), each with ``contains_x``.
+    def extend(self, bag: Bag) -> list[Hashable]:
+        """Train on ``bag`` and return the category of every bag example
+        (x_i, y_i), each with ``contains_x``.
 
-        The first ``n_old`` examples of ``bag`` are the bag of the previous
-        ``train`` or ``extend`` call.  This default retrains and categorises
-        the whole bag; a taxonomy overrides it to update only the
-        categories the new examples change.
+        This default retrains and categorises the whole bag.  A taxonomy
+        overrides it to update only the categories that new examples change
+        when ``bag`` starts with exactly the bag of its previous ``extend``
+        call; it decides that itself.
         """
         self.train(bag)
         hypotheses = [(y,) for y in bag.y]
@@ -70,8 +70,9 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     neighbour.  Distance ties break by ascending bag index.  Degenerate bags
     (empty, or a singleton equal to x) fall back to the hypothesis label so
     the mapping stays total.  ``extend`` keeps each example's nearest index
-    and squared distance, so the next ``extend`` moves only the examples a
-    new example comes strictly closer to.
+    and squared distance, so the next ``extend``, when its bag continues
+    that one, searches again only for the examples a new example comes
+    strictly closer to, and for the new examples.
     """
 
     def __init__(self):
@@ -99,20 +100,13 @@ class NearestNeighborTaxonomy(VennTaxonomy):
             list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
         ]
 
-    def extend(self, bag: Bag, n_old: int) -> list[Hashable]:
-        if self._fit is None or not 2 <= n_old < len(bag) or not _continues(self._bag, bag, n_old):
-            nearest, dist = _nearest(bag.x, bag.x, np.ones(len(bag), bool))
-        else:
-            old_nearest, old_dist = self._fit
-            # example i moves to the closest new example only if that one is
-            # strictly closer; a tie keeps the lower index, as argmin does
-            new_sq = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old])
-            closest = new_sq.argmin(axis=0)
-            closest_sq = new_sq[closest, np.arange(n_old)]
-            moved = closest_sq < old_dist
-            fresh, fresh_dist = _nearest(bag.x, bag.x[n_old:], np.ones(len(bag) - n_old, bool))
-            nearest = np.concatenate([np.where(moved, n_old + closest, old_nearest), fresh])
-            dist = np.concatenate([np.where(moved, closest_sq, old_dist), fresh_dist])
+    def extend(self, bag: Bag) -> list[Hashable]:
+        n_old, (nearest, dist) = _resume(self._bag, self._fit, bag, (np.empty(0, int), np.empty(0)))
+        # an example a new one comes strictly closer to is searched again
+        # over the whole bag: its own first zero-distance occurrence is an
+        # old row, and argmin keeps the lowest index among ties
+        rows = _rows_to_compute(bag, n_old, dist[:n_old])
+        nearest[rows], dist[rows] = _nearest(bag.x, bag.x[rows], np.ones(len(rows), bool))
         self._bag = bag
         self._fit = (nearest, dist)
         return [y if j < 0 else bag.y[j] for j, y in zip(nearest.tolist(), bag.y)]
@@ -208,11 +202,10 @@ class VennPredictor:
             raise ValueError("the Venn predictor needs a classification bag")
         if len(merged.label_space) < 2:
             raise ValueError("the label space must hold at least two labels")
-        n_old = 0 if fresh else len(self._bag)
-        categories = self.taxonomy.extend(merged, n_old)
+        categories = self.taxonomy.extend(merged)
         index, counts = _label_count_table(categories, merged)
         observations = set() if fresh else self._observations
-        observations.update(_row_key(x) for x in merged.x[n_old:])
+        observations.update(_row_key(x) for x in bag.x)
         self._bag = merged
         self._categories = categories
         self._category_index = index

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _support import gaussian_blobs, linear_regression_bag
+import conformal.meta
 from conformal import save_csv
 from conformal.cli import _base_classifier, main
 from conformal.ncm import _pairwise_sq_dists
@@ -234,6 +235,16 @@ class TestMetaCommand:
         train, test = class_files
         with pytest.raises(SystemExit) as err:
             main(["meta", "--train", train, "--test", test, "--base", spec])
+        assert err.value.code == 2
+
+    def test_bad_measure_spec_rejected_before_any_training(self, class_files, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the base classifier ran before --ncm was checked")
+
+        monkeypatch.setattr(conformal.meta, "kfold_meta_data", no_training)
+        train, test = class_files
+        with pytest.raises(SystemExit) as err:
+            main(["meta", "--train", train, "--test", test, "--ncm", "forest:k=1"])
         assert err.value.code == 2
 
     def test_fractional_cart_measure_is_usage_error(self, class_files):

@@ -228,6 +228,16 @@ class TestScoreOnline:
         cp.score_online(gaussian_blobs(15, seed=5))
         assert len(cp.bag) == 35
 
+    def test_absorbing_keeps_the_label_order(self):
+        # the p-value columns follow the label space; a step must not reorder it
+        blobs = gaussian_blobs(20, seed=4)
+        cp = ConformalClassifier(KnnClassifierMeasure(), CpConfig(epsilons=(0.1,)))
+        cp.train(Bag.classification(blobs.x, blobs.y, ("B", "A")))
+        assert cp.p_values(blobs.x[:2]).labels == ("B", "A")
+        cp.score_online(gaussian_blobs(1, seed=5))
+        assert cp.bag.label_space == ("B", "A")
+        assert cp.p_values(blobs.x[:2]).labels == ("B", "A")
+
     def test_online_error_rate_in_band(self):
         cp = ConformalClassifier(
             KnnClassifierMeasure(), CpConfig(epsilons=(0.1,), smoothed=True)
@@ -403,8 +413,8 @@ class TestFiniteScoreContract:
 
     def test_measure_refit_to_the_kept_bag_after_a_rejected_train(self):
         class NanAfter(KnnClassifierMeasure):
-            def extend(self, bag, n_old):
-                scores = super().extend(bag, n_old).copy()
+            def extend(self, bag):
+                scores = super().extend(bag).copy()
                 if len(bag) > 20:
                     scores[-1] = np.nan
                 return scores

@@ -74,6 +74,13 @@ class TestBag:
         assert merged.y == ("A", "C")
         assert len(merged) == 2
 
+    def test_append_keeps_the_receiving_label_order(self):
+        a = Bag.classification([[0.0], [1.0]], ["B", "A"], ("B", "A"))
+        assert a.append(Bag.classification([[2.0]], ["A"], ("B", "A"))).label_space == ("B", "A")
+        assert a.append(Bag.classification([[2.0]], ["A"], ("A", "B"))).label_space == ("B", "A")
+        wider = a.append(Bag.classification([[2.0]], ["D"], ("D", "A", "C")))
+        assert wider.label_space == ("B", "A", "C", "D")
+
     def test_append_rejects_mixed_kinds(self):
         with pytest.raises(ValueError, match="mix"):
             Bag.classification([[0.0]], ["A"]).append(Bag.regression([[1.0]], [1.0]))

@@ -186,11 +186,11 @@ def test_property_incremental_scores_equal_retraining(seed, k, n, chunks):
     bag = grid_bag(n, seed)
     stream = grid_stream(bag, sum(chunks), seed + 1)
     measure = KnnClassifierMeasure(KnnConfig(k=k))
-    measure.extend(bag, 0)
+    measure.extend(bag)
     merged, lo = bag, 0
     for size in chunks:
         merged = merged.append(stream.subset(range(lo, lo + size)))
-        got = measure.extend(merged, len(merged) - size)
+        got = measure.extend(merged)
         assert same_bits(got, knn_scores(KnnConfig(k=k), merged, merged, True))
         lo += size
 
@@ -205,6 +205,8 @@ class TestVenn:
             merged = merged.append(step)
             ref = VennPredictor(NearestNeighborTaxonomy()).train(merged)
             assert venn._categories == ref._categories
+            # extending by nothing keeps every category
+            assert venn.taxonomy.extend(merged) == ref._categories
             rows = np.vstack([queries, merged.x])
             assert same_bits(venn._matrices(rows), ref._matrices(rows))
             assert venn.predict(rows) == ref.predict(rows)
@@ -218,6 +220,10 @@ class TestVenn:
     def test_starting_from_two_examples(self):
         start = Bag.classification([[0.0, 0.0], [0.0, 0.0]], ["A", "B"], LABELS)
         self.check(start, grid_stream(grid_bag(12, 54), 12, 55), grid_bag(5, 56).x)
+
+    def test_starting_from_one_example(self):
+        start = Bag.classification([[1.0, 0.0]], ["B"], LABELS)
+        self.check(start, grid_stream(grid_bag(12, 63), 12, 64), grid_bag(5, 65).x)
 
     def test_multi_row_appends_and_new_labels(self):
         bag = grid_bag(20, 57, labels=("A", "B"))
@@ -260,20 +266,22 @@ class TestRegression:
     @pytest.mark.parametrize("k", [1, 3])
     def test_steps_equal_retraining(self, k):
         config = RrcmConfig(EPSILONS, convex_hull=False)
-        bag = regression_grid(20, 71)
         stream = regression_grid(16, 72)
-        rrcm = ConformalRegressor(KnnRegressionProvider(KnnConfig(k=k)), config).train(bag)
-        merged = bag
-        for lo, hi in ((0, 1), (1, 2), (2, 5), (5, 6), (6, 16)):
-            chunk = stream.subset(range(lo, hi))
-            rrcm.train(chunk)
-            merged = merged.append(chunk)
-            ref = ConformalRegressor(KnnRegressionProvider(KnnConfig(k=k)), config).train(merged)
-            assert line_bits(rrcm) == line_bits(ref)
-            a, _ = knn_regression_coeffs(KnnConfig(k=k), merged, merged, True)
-            assert same_bits(rrcm._lines[:, 0], a)
-        queries = np.arange(-4.0, 5.0)[:, None]
-        assert rrcm.predict(queries) == ref.predict(queries)
+        # 600 rows: the provider's first fit runs in several row chunks; the
+        # empty first step compares that fit itself
+        for bag in (regression_grid(20, 71), regression_grid(600, 75)):
+            rrcm = ConformalRegressor(KnnRegressionProvider(KnnConfig(k=k)), config).train(bag)
+            merged = bag
+            for lo, hi in ((0, 0), (0, 1), (1, 2), (2, 5), (5, 6), (6, 16)):
+                chunk = stream.subset(range(lo, hi))
+                rrcm.train(chunk)
+                merged = merged.append(chunk)
+                ref = ConformalRegressor(KnnRegressionProvider(KnnConfig(k=k)), config).train(merged)
+                assert line_bits(rrcm) == line_bits(ref)
+                a, _ = knn_regression_coeffs(KnnConfig(k=k), merged, merged, True)
+                assert same_bits(rrcm._lines[:, 0], a)
+            queries = np.arange(-4.0, 5.0)[:, None]
+            assert rrcm.predict(queries) == ref.predict(queries)
 
     def test_score_online_equals_retraining_loop(self):
         config = RrcmConfig(EPSILONS)
@@ -290,6 +298,63 @@ class TestRegression:
         for eps in EPSILONS:
             misses = sum(not p.contains(eps, y) for p, y in zip(predictions, stream.y))
             assert report.per_epsilon[eps].miss_rate == misses / len(stream)
+
+
+class TestOverrideOnContinuingBag:
+    """``override=True`` on a bag that starts with the bag the plug-in holds
+    lets the plug-in resume its fit; the result is a fresh predictor's."""
+
+    def test_cp(self):
+        bag = grid_bag(30, 101)
+        more = bag.append(grid_stream(bag, 6, 102))
+        cp, ref = cp_pair(lambda: KnnClassifierMeasure(KnnConfig(k=3)), taxonomy=label_taxonomy)
+        cp.train(bag).train(more, override=True)
+        assert_same_stores(cp, ref.train(more))
+        queries = grid_bag(6, 103).x
+        assert same_bits(cp.p_values(queries).values, ref.p_values(queries).values)
+
+    def test_venn(self):
+        bag = grid_bag(30, 104)
+        more = bag.append(grid_stream(bag, 6, 105))
+        venn = VennPredictor(NearestNeighborTaxonomy()).train(bag).train(more, override=True)
+        ref = VennPredictor(NearestNeighborTaxonomy()).train(more)
+        assert venn._categories == ref._categories
+        rows = np.vstack([grid_bag(6, 106).x, more.x])
+        assert same_bits(venn._matrices(rows), ref._matrices(rows))
+
+    def test_rrcm(self):
+        config = RrcmConfig(EPSILONS)
+        bag = regression_grid(25, 107)
+        more = bag.append(regression_grid(6, 108))
+        rrcm = ConformalRegressor(KnnRegressionProvider(KnnConfig(k=3)), config).train(bag)
+        rrcm.train(more, override=True)
+        ref = ConformalRegressor(KnnRegressionProvider(KnnConfig(k=3)), config).train(more)
+        assert line_bits(rrcm) == line_bits(ref)
+
+
+@pytest.mark.parametrize("continues", [False, True])
+def test_raising_extend_keeps_the_held_fit(continues):
+    # a label with too few neighbours, in a bag that continues the held one or not
+    bag = grid_bag(30, 111, labels=("A", "B"))
+    measure = KnnClassifierMeasure(KnnConfig(k=2))
+    measure.extend(bag)
+    fit = measure._fit
+    lone = Bag.classification(grid_bag(2, 113).x, ["C", "A"], LABELS)
+    with pytest.raises(ValueError, match="label 'C': 0 same-label"):
+        measure.extend(bag.append(lone) if continues else lone)
+    assert measure._bag is bag and measure._fit is fit
+    merged = bag.append(grid_bag(3, 115, labels=("A", "B")))
+    assert same_bits(measure.extend(merged), knn_scores(KnnConfig(k=2), merged, merged, True))
+
+
+def test_provider_rejects_a_small_bag_and_keeps_its_fit():
+    provider = KnnRegressionProvider(KnnConfig(k=2))
+    bag = regression_grid(30, 112)
+    provider.extend(bag)
+    fit = provider._fit
+    with pytest.raises(ValueError, match="need k=2 neighbours, only 1 available"):
+        provider.extend(regression_grid(2, 114))
+    assert provider._bag is bag and provider._fit is fit
 
 
 def k_smallest(sq, k):

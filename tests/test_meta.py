@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from _support import gaussian_blobs
+import conformal
 from conformal import (
     ABSTAIN,
     Bag,
@@ -472,3 +477,25 @@ class _Nearest:
 
         d = _pairwise_sq_dists(np.asarray(x, dtype=float), self._x)
         return [self._y[j] for j in d.argmin(axis=1)]
+
+
+def test_training_a_combined_classifier_does_not_import_numpy_ma():
+    # numpy.ma adds about 2 MB to a process; the fold complements need no
+    # set routine.  A fresh interpreter, since this one may import it anyway.
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from conformal import Bag, CombinedClassifier, KnnClassifierMeasure, KnnConfig
+        from conformal import conformal_meta_hooks
+
+        rng = np.random.default_rng(0)
+        bag = Bag.classification(rng.standard_normal((40, 2)), ["A", "B"] * 20, ("A", "B"))
+        hooks = conformal_meta_hooks(
+            lambda x, y: None, lambda x: ["A"] * len(x), lambda: KnnClassifierMeasure(KnnConfig(k=1))
+        )
+        CombinedClassifier(hooks, 0.8).train(bag, 4)
+        sys.exit("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(conformal.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
