@@ -27,7 +27,6 @@ from .ncm import NonconformityMeasure
 #: A taxonomy maps one example (x, y) to a category symbol.
 Taxonomy = Callable[[np.ndarray, Label], Hashable]
 
-_SINGLE_CATEGORY = object()
 _NO_SCORES = np.empty(0)
 
 
@@ -81,7 +80,7 @@ class PValueTable:
 
 def category_p_values(
     store: Mapping[Hashable, np.ndarray],
-    taxonomy: Taxonomy | None,
+    taxonomy: Taxonomy,
     X: np.ndarray,
     labels: Sequence[Label],
     alpha: np.ndarray,
@@ -90,23 +89,21 @@ def category_p_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """p-values of every (row, label) pair plus flags of empty categories.
 
-    The taxonomy is called once per pair, row-major; the pairs are grouped
-    by category and counted against that category's sorted ``store`` entry
-    by binary search.  Over ``total`` stored scores, ``gt`` of them greater
-    and ``eq`` equal, p = (gt + eq + 1) / (total + 1); smoothing replaces the
-    tie block (the equal scores plus the test example) by its tau fraction,
-    and ``include_test=False`` drops the test example from the numerator,
-    the literal inductive formula.  A category missing from the store counts
-    as holding no scores.
+    The taxonomy (:func:`constant_taxonomy` for plain counting) is called
+    once per pair, row-major; the pairs are grouped by category and counted
+    against that category's sorted ``store`` entry by binary search.  Over
+    ``total`` stored scores, ``gt`` of them greater and ``eq`` equal,
+    p = (gt + eq + 1) / (total + 1); smoothing replaces the tie block (the
+    equal scores plus the test example) by its tau fraction, and
+    ``include_test=False`` drops the test example from the numerator, the
+    literal inductive formula.  A category missing from the store counts as
+    holding no scores.
     """
     m, n_labels = alpha.shape
-    if taxonomy is None:
-        groups = {_SINGLE_CATEGORY: slice(None)}
-    else:
-        groups: dict[Hashable, list[int]] = {}
-        for i, x in enumerate(X):
-            for j, y in enumerate(labels):
-                groups.setdefault(taxonomy(x, y), []).append(i * n_labels + j)
+    groups: dict[Hashable, list[int]] = {}
+    for i, x in enumerate(X):
+        for j, y in enumerate(labels):
+            groups.setdefault(taxonomy(x, y), []).append(i * n_labels + j)
     alpha = alpha.ravel()
     taus = None if taus is None else taus.ravel()
     extra = 1 if include_test else 0
@@ -184,7 +181,9 @@ class ScoreStoreClassifier:
 
     A subclass keeps one score per reference example through
     :meth:`_keep_scores`, which holds them sorted per taxonomy category, and
-    counts candidates against that store with :meth:`_count`.  A trained
+    counts candidates against that store with :meth:`_count`.  A config
+    without a taxonomy counts with :func:`constant_taxonomy`, so plain
+    counting is the one-category case of the same store.  A trained
     instance is immutable and may serve concurrent ``predict`` /
     ``p_values`` / ``score`` calls as long as each caller supplies its own
     :class:`SeededRng`; the methods that change the store need exclusive
@@ -194,13 +193,14 @@ class ScoreStoreClassifier:
     def __init__(self, measure: NonconformityMeasure, config):
         self.measure = measure
         self.config = config
+        self._taxonomy: Taxonomy = constant_taxonomy if config.taxonomy is None else config.taxonomy
         self._bag: Bag | None = None
         # {category: sorted scores}, built from the reference scores in
         # order and each reference example's category id, an index into
-        # _category_keys (ids are None without a taxonomy)
+        # _category_keys
         self._store: dict[Hashable, np.ndarray] = {}
         self._scores = _NO_SCORES
-        self._category_ids: np.ndarray | None = np.empty(0, dtype=int)
+        self._category_ids = np.empty(0, dtype=int)
         self._category_keys: dict[Hashable, int] = {}
 
     @property
@@ -242,21 +242,16 @@ class ScoreStoreClassifier:
             alpha = np.zeros((X.shape[0], len(labels)))
         else:
             alpha = _score_matrix(self.measure, X, labels)
-        vals, empty = category_p_values(
-            self._store, self.config.taxonomy, X, labels, alpha, taus, include_test
-        )
+        vals, empty = category_p_values(self._store, self._taxonomy, X, labels, alpha, taus, include_test)
         return vals, empty, labels
 
     def _categorise(self, x: np.ndarray, y: Sequence[Label], fresh: bool):
         """Category ids of the reference examples followed by those of the
         new examples (x, y), and the id of every category.  Only the new
         examples meet the taxonomy; ``fresh`` drops the held ones."""
-        taxonomy = self.config.taxonomy
-        if taxonomy is None:
-            return None, {}
         keys = {} if fresh else dict(self._category_keys)
         new_ids = np.fromiter(
-            (keys.setdefault(taxonomy(xi, yi), len(keys)) for xi, yi in zip(x, y)),
+            (keys.setdefault(self._taxonomy(xi, yi), len(keys)) for xi, yi in zip(x, y)),
             dtype=int, count=len(x),
         )
         return (new_ids if fresh else np.concatenate([self._category_ids, new_ids])), keys
@@ -265,12 +260,8 @@ class ScoreStoreClassifier:
         """Hold one score per reference example as the sorted store;
         ``categorised`` is what :meth:`_categorise` returned for them."""
         ids, keys = categorised
-        if ids is None:
-            store = {_SINGLE_CATEGORY: np.sort(scores)}
-        else:
-            store = {cat: np.sort(scores[ids == c]) for cat, c in keys.items()}
         self._scores, self._category_ids, self._category_keys = scores, ids, keys
-        self._store = store
+        self._store = {cat: np.sort(scores[ids == c]) for cat, c in keys.items()}
 
 
 class ConformalClassifier(ScoreStoreClassifier):
@@ -297,8 +288,9 @@ class ConformalClassifier(ScoreStoreClassifier):
             scores = _checked_scores(self.measure.extend(merged), (len(merged),))
         except ValueError:
             if self._bag is not None:
-                # the measure may have absorbed the rejected examples
-                self.measure.train(self._bag)
+                # the measure may have absorbed the rejected examples; a
+                # measure that kept its fit of the held bag resumes from it
+                self.measure.extend(self._bag)
             raise
         self._bag = merged
         self._keep_scores(scores, categorised)
@@ -324,7 +316,6 @@ class ConformalClassifier(ScoreStoreClassifier):
         X = check_observations(X, bag.n_features)
         labels = bag.label_space
         taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
-        taxonomy = self.config.taxonomy
         measure = copy.deepcopy(self.measure)
         vals = np.empty((X.shape[0], len(labels)))
         for i, x in enumerate(X):
@@ -337,10 +328,9 @@ class ConformalClassifier(ScoreStoreClassifier):
                     measure.train(augmented)
                     scores = _checked_scores(measure.scores(augmented, True), (len(augmented),))
                     alpha_new = scores[-1]
-                    if taxonomy is not None:
-                        # the bag examples of the candidate's category, then the candidate
-                        cat = self._category_keys.get(taxonomy(x, y), -1)
-                        scores = scores[np.append(self._category_ids, cat) == cat]
+                    # the bag examples of the candidate's category, then the candidate
+                    cat = self._category_keys.get(self._taxonomy(x, y), -1)
+                    scores = scores[np.append(self._category_ids, cat) == cat]
                     gt = int((scores > alpha_new).sum())
                     eq = int((scores == alpha_new).sum())
                     total = len(scores)

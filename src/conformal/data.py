@@ -68,6 +68,9 @@ class Bag:
             raise ValueError(f"{x.shape[0]} observations but {len(y)} labels")
         if label_space:
             known = set(label_space)
+            if len(known) != len(label_space):
+                repeated = next(lbl for lbl in label_space if label_space.count(lbl) > 1)
+                raise ValueError(f"label {repeated!r} appears twice in the label space")
             for lbl in y:
                 if lbl not in known:
                     raise ValueError(f"label {lbl!r} is not in the label space")
@@ -115,20 +118,19 @@ class Bag:
 
         The label space is this bag's, in its order, followed by the labels
         only ``other``'s label space holds, sorted, so a stream may
-        introduce labels without reordering the known ones.  Only
-        ``other``'s examples are checked: this bag's were checked when it
-        was built, and its labels stay inside the merged label space.
+        introduce labels without reordering the known ones.  Neither bag's
+        examples are checked again: each bag was checked when it was built,
+        and its labels lie inside the merged label space.
         """
         if self.is_classification != other.is_classification and (self.y or other.y):
             raise ValueError("cannot mix classification and regression bags")
         if self.n_features != other.n_features:
             raise ValueError("feature arity mismatch")
         space = self.label_space + tuple(sorted(set(other.label_space) - set(self.label_space)))
-        tail = Bag(other.x, other.y, space)
         merged = Bag.__new__(Bag)
-        merged.x = np.vstack([self.x, tail.x])
+        merged.x = np.vstack([self.x, other.x])
         merged.x.setflags(write=False)
-        merged.y = self.y + tail.y
+        merged.y = self.y + other.y
         merged.label_space = space
         return merged
 

@@ -298,31 +298,24 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     both sums are zero the score is 0; when only the denominator is zero the
     largest finite float stands in for infinity.  With ``is_training_bag``
     each example is excluded from its own same-label group (otherwise its
-    zero self-distance would swamp every score); exclusion drops one
-    zero-distance same-label occurrence, which also lets sub-bags of the
-    training bag be scored: its distance is set to infinity.  The target is
+    zero self-distance would swamp every score): its first zero-distance
+    same-label column is set to infinity.  That one rule serves the training
+    bag itself and its sub-bags, since a score depends only on the sorted k
+    smallest values and every such column is the same zero.  The target is
     scored in row chunks through :func:`_neighbour_sums`, the selection
     that ``KnnClassifierMeasure.score_matrix`` uses too, so every score is
     invariant under permutation of the training bag.
     """
-    # when the target is the training bag itself, example i is its own column i
-    aligned = target is training or (target.x is training.x and target.y == training.y)
     codes, code_of = _label_codes(training.y)
     groups = _label_columns(codes)
-    if aligned:
-        target_codes = codes
-    else:
-        target_codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
+    target_codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
     bag_rows = _feature_rows(training.x)
-    index = np.arange(len(target))
     out = np.empty(len(target))
     for rows in _row_chunks(len(target), len(training)):
         sq = _sq_dists_to(target.x[rows], bag_rows)
         row_codes = target_codes[rows]
         if not is_training_bag:
             own = np.full(len(sq), -1)
-        elif aligned:
-            own = index[rows]
         else:
             # the example itself: its first zero-distance same-label occurrence
             zero = (sq == 0) & (codes[None, :] == row_codes[:, None])

@@ -24,11 +24,11 @@ from conformal import (
     ModelOutputAdapterConfig,
     ModelOutputMeasure,
     SeededRng,
+    constant_taxonomy,
     knn_score_per_label,
     knn_scores,
     label_taxonomy,
 )
-from conformal.cp import _SINGLE_CATEGORY
 
 LABELS = ("A", "B", "C")
 
@@ -152,7 +152,7 @@ def reference_p_values(store, taxonomy, X, labels, alpha, taus, include_test=Tru
     empty = np.zeros(alpha.shape, dtype=bool)
     for i, x in enumerate(X):
         for j, y in enumerate(labels):
-            cat = taxonomy(x, y) if taxonomy is not None else _SINGLE_CATEGORY
+            cat = taxonomy(x, y) if taxonomy is not None else constant_taxonomy(x, y)
             stored = store.get(cat, np.empty(0))
             gt, eq = sorted_score_counts(stored, alpha[i, j])
             tau = None if taus is None else taus[i, j]

@@ -55,6 +55,10 @@ class TestBag:
         with pytest.raises(ValueError, match="label space"):
             Bag([[0.0]], ["C"], ("A", "B"))
 
+    def test_repeated_label_in_space_rejected(self):
+        with pytest.raises(ValueError, match="label 'A' appears twice"):
+            Bag.classification([[0.0], [1.0], [2.0], [3.0]], ["A", "B", "A", "B"], ("A", "A", "B"))
+
     def test_nonfinite_features_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Bag.classification([[math.nan]], ["A"])

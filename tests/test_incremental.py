@@ -32,6 +32,7 @@ from conformal import (
     knn_scores,
     label_taxonomy,
 )
+from conformal import ncm
 from conformal.ncm import _neighbour_sums
 
 LABELS = ("A", "B", "C")
@@ -345,6 +346,35 @@ def test_raising_extend_keeps_the_held_fit(continues):
     assert measure._bag is bag and measure._fit is fit
     merged = bag.append(grid_bag(3, 115, labels=("A", "B")))
     assert same_bits(measure.extend(merged), knn_scores(KnnConfig(k=2), merged, merged, True))
+
+
+def test_rejected_cp_step_resumes_from_the_kept_fit(monkeypatch):
+    # the measure's extend raises on a label with too few neighbours; the
+    # next step rescores only what it changes, as without the rejected step
+    rescored = []
+
+    def spy(k, sq, *args):
+        out = knn_rows(k, sq, *args)
+        rescored.append(len(sq))
+        return out
+
+    knn_rows = ncm._knn_rows
+    monkeypatch.setattr(ncm, "_knn_rows", spy)
+    bag = grid_bag(200, 116, labels=("A", "B"))
+    step = grid_stream(bag, 1, 117)
+    cp, ref = cp_pair(lambda: KnnClassifierMeasure(KnnConfig(k=3)))
+    cp.train(bag)
+    ref.train(bag)
+    rescored.clear()
+    with pytest.raises(ValueError, match="label 'Z': 0 same-label"):
+        cp.train(Bag.classification(grid_bag(1, 118).x, ["Z"], ("A", "B", "Z")))
+    assert cp.bag is bag
+    cp.train(step)
+    after_reject = sum(rescored)
+    rescored.clear()
+    ref.train(step)
+    assert after_reject == sum(rescored) < len(bag)
+    assert_same_stores(cp, ref)
 
 
 def test_provider_rejects_a_small_bag_and_keeps_its_fit():

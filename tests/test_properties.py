@@ -1,27 +1,32 @@
-"""Property tests of the conformal classifiers over small random bags.
+"""Property tests of the conformal classifiers and the regression conformal
+predictor over small random bags.
 
 Integer-grid features give many equal distances and equal scores, so the
-tie handling of the counting is exercised on every draw.  Each property runs
-without a taxonomy and with ``label_taxonomy``.
+tie handling of the counting is exercised on every draw.  Each classifier
+property runs without a taxonomy and with ``label_taxonomy``.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conformal import (
     Bag,
     ConformalClassifier,
+    ConformalRegressor,
     CpConfig,
     IcpConfig,
     InductiveConformalClassifier,
     KnnClassifierMeasure,
     KnnConfig,
+    KnnRegressionProvider,
     ModelOutputAdapterConfig,
     ModelOutputMeasure,
+    RrcmConfig,
     SeededRng,
     label_taxonomy,
 )
+from conformal.ncm import _pairwise_sq_dists
 
 LABELS = ("A", "B", "C")
 EPSILONS = (0.05, 0.1, 0.2, 0.35, 0.5)
@@ -187,3 +192,30 @@ def test_knn_scores_bit_identical_under_bag_permutation_with_exactly_k(case, ran
         store = icp.train(b).calibrate(calibration)._store
         results.append([measure.score_matrix(X, labels).tobytes()] + [s.tobytes() for s in store.values()])
     assert results[0] == results[1]
+
+
+@st.composite
+def tie_free_regression_bags(draw):
+    """k, a continuous regression bag, a permutation of it and query rows,
+    with all distances between distinct points distinct: the kNN provider
+    breaks distance ties by bag index, so on bags with ties a permutation
+    may pick other neighbours."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 16))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bag = Bag.regression(rng.standard_normal((n, d)), rng.standard_normal(n))
+    X = rng.standard_normal((4, d))
+    points = np.vstack([bag.x, X])
+    upper = _pairwise_sq_dists(points, points)[np.triu_indices(len(points), 1)]
+    assume(len(np.unique(upper)) == len(upper))
+    return k, bag, bag.subset(draw(st.permutations(range(n)))), X
+
+
+@SETTINGS
+@given(tie_free_regression_bags(), st.booleans())
+def test_rrcm_intervals_invariant_under_permutation_of_tie_free_bag(case, convex_hull):
+    k, bag, permuted, X = case
+    config = RrcmConfig(EPSILONS, convex_hull=convex_hull)
+    a, b = (ConformalRegressor(KnnRegressionProvider(KnnConfig(k=k)), config).train(z) for z in (bag, permuted))
+    assert [p.per_epsilon for p in a.predict(X)] == [p.per_epsilon for p in b.predict(X)]
