@@ -288,9 +288,14 @@ class ConformalClassifier(ScoreStoreClassifier):
             scores = _checked_scores(self.measure.extend(merged), (len(merged),))
         except ValueError:
             if self._bag is not None:
-                # the measure may have absorbed the rejected examples; a
-                # measure that kept its fit of the held bag resumes from it
-                self.measure.extend(self._bag)
+                # the measure may have absorbed the rejected examples; one
+                # that overrides extend resumes from the fit it kept of the
+                # held bag, and one that does not is trained on it (its
+                # extend would also score the bag, for nothing)
+                if type(self.measure).extend is NonconformityMeasure.extend:
+                    self.measure.train(self._bag)
+                else:
+                    self.measure.extend(self._bag)
             raise
         self._bag = merged
         self._keep_scores(scores, categorised)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -215,26 +216,8 @@ def load_csv(path, label_column, label_kind: str = "class") -> Bag:
         except ValueError:
             raise ValueError(f"unknown label column {label_column!r}; header is {header}") from None
 
-    feats: list[list[float]] = []
-    labels: list[str] = []
-    for r, row in enumerate(data, start=1):
-        if len(row) != len(header):
-            raise ValueError(f"row {r}: expected {len(header)} cells, got {len(row)}")
-        vec = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                continue
-            try:
-                val = float(cell)
-            except ValueError:
-                raise ValueError(f"row {r}, column {header[c]!r}: {cell!r} is not a number") from None
-            if not math.isfinite(val):
-                raise ValueError(f"row {r}, column {header[c]!r}: non-finite value")
-            vec.append(val)
-        feats.append(vec)
-        labels.append(row[label_idx])
-
-    x = np.asarray(feats, dtype=float)
+    x = _features(data, header, label_idx)
+    labels = [row[label_idx] for row in data]
     if label_kind == "real":
         parsed = []
         for r, cell in enumerate(labels, start=1):
@@ -246,6 +229,39 @@ def load_csv(path, label_column, label_kind: str = "class") -> Bag:
                 ) from None
         return Bag.regression(x, parsed)
     return Bag.classification(x, labels)
+
+
+def _features(data: list[list[str]], header: list[str], label_idx: int) -> np.ndarray:
+    """The feature cells of the data rows as a float matrix, each parsed by
+    ``float()``.
+
+    Every cell goes to ``float()`` through ``np.fromiter``.  When that fails
+    (a short or long row, a cell ``float()`` rejects, a non-finite value),
+    the rows are checked one by one, and the first bad row or cell raises.
+    """
+    width = len(header) - 1
+    if all(len(row) == len(header) for row in data):
+        cells = itertools.chain.from_iterable(row[:label_idx] + row[label_idx + 1:] for row in data)
+        try:
+            x = np.fromiter(map(float, cells), dtype=float, count=len(data) * width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(x).all():
+                return x.reshape(len(data), width)
+    for r, row in enumerate(data, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+        for c, cell in enumerate(row):
+            if c == label_idx:
+                continue
+            try:
+                val = float(cell)
+            except ValueError:
+                raise ValueError(f"row {r}, column {header[c]!r}: {cell!r} is not a number") from None
+            if not math.isfinite(val):
+                raise ValueError(f"row {r}, column {header[c]!r}: non-finite value")
+    raise AssertionError("the fast path rejected rows that every check passes")
 
 
 def save_csv(bag: Bag, path, label_column: str = "label") -> None:

@@ -179,16 +179,34 @@ def _root_sums(sq: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, order="C").sum(axis=-1)
 
 
+def _merge_smallest(held: np.ndarray, cands, k: int) -> np.ndarray:
+    """Per row, the k smallest of a row of ``held`` (sorted, k wide) and of
+    the same rows of the candidate blocks ``cands`` together, sorted, as
+    :func:`_smallest` selects them."""
+    cands = [c for c in cands if c.shape[1]]
+    if k == 1:
+        for c in cands:
+            held = np.minimum(held, c.min(axis=1, keepdims=True))
+        return held
+    # only a row with a candidate below its k-th smallest changes
+    hit = np.zeros(len(held), dtype=bool)
+    for c in cands:
+        hit |= (c < held[:, -1:]).any(axis=1)
+    parts = [c[hit] if c.shape[1] <= k else np.partition(c[hit], k - 1, axis=1)[:, :k] for c in cands]
+    out = held.copy()
+    out[hit] = np.sort(np.concatenate([held[hit], *parts], axis=1), axis=1)[:, :k]
+    return out
+
+
 def _neighbour_sums(k: int, sq: np.ndarray, groups: dict, codes) -> np.ndarray:
     """Neighbour sums of query rows from their squared distances ``sq`` to a
     bag whose label groups are ``groups`` (:func:`_label_columns`).
 
-    Returns shape (4, rows, len(codes)): for each label code in ``codes``,
+    Returns shape (2, rows, len(codes)): for each label code in ``codes``,
     the sum of the roots of the k smallest same-label squared distances,
-    the same over all other labels, and the k-th smallest of each.  Each
-    group's k smallest are taken once, sorted; the k smallest of the other
-    groups' lists together are the sorted k smallest over all other
-    columns.  Every sum therefore adds the same sorted values, whatever the
+    and the same over all other labels.  Each group's k smallest are taken
+    once, sorted; the k smallest of the other groups' lists together are
+    the sorted k smallest over all other columns.  Every sum therefore adds the same sorted values, whatever the
     order of the bag, the chunk a row comes in or an entry added at or
     above the k-th smallest.  Each requested code must have k same-label
     and k other-label columns (:func:`_check_neighbours`).
@@ -201,8 +219,7 @@ def _neighbour_sums(k: int, sq: np.ndarray, groups: dict, codes) -> np.ndarray:
     near = _smallest(block, np.cumsum([0] + sizes[:-1]), k)
     others = [[c for c in groups if c != code] for code in codes]
     other = np.sort(near[:, others].reshape(len(sq), len(codes), -1), axis=2)[:, :, :k]
-    both = np.stack([near[:, codes], other])
-    return np.concatenate([_root_sums(both), both[..., k - 1]])
+    return _root_sums(np.stack([near[:, codes], other]))
 
 
 def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -227,12 +244,48 @@ def _resume(held: Bag | None, fit, bag: Bag, empty) -> tuple:
     with exactly the examples of ``held``, the bag that ``fit`` (None:
     nothing usable) was made for; otherwise it is 0 and ``empty`` stands in
     for ``fit``.  ``arrays`` are new copies of the fit's arrays, each grown
-    along its last axis to ``len(bag)`` entries, the new entries unset."""
+    along its first axis to ``len(bag)`` entries, the new entries unset."""
     n = 0 if fit is None else len(held)
     if fit is None or n > len(bag) or held.y != bag.y[:n] or not np.array_equal(held.x, bag.x[:n]):
         n, fit = 0, empty
     new = len(bag) - n
-    return n, tuple(np.concatenate([f, np.empty(f.shape[:-1] + (new,), f.dtype)], axis=-1) for f in fit)
+    return n, tuple(np.concatenate([f, np.empty((new,) + f.shape[1:], f.dtype)]) for f in fit)
+
+
+def _new_pairs(x: np.ndarray, n_old: int, stops=()):
+    """The squared distances of every pair of rows of ``x`` that holds a new
+    row (index ``n_old`` or above), each computed once, as blocks ``(rows,
+    cols, sq, skip)``: ``sq`` holds the distances of the rows in slice
+    ``rows`` to those in slice ``cols``.  A consumer merges a block into its
+    rows, and through its transpose into the columns from ``cols.start +
+    skip`` on; the columns before those are the block's own rows, whose
+    diagonal is infinity.  No block's rows cross a position in ``stops``.
+
+    The new rows meet the old ones in row chunks, then each other in
+    symmetric tiles: row chunks whose columns start at the chunk's first
+    row.  A fit from nothing thus computes n(n+1)/2 distances, plus the
+    lower triangles of its tiles (half a tile at most), instead of n².  That
+    :func:`_sq_dists_to` is bitwise symmetric (fl(a-b) = -fl(b-a), squares
+    added in feature order on both paths) makes the transpose exact.  Each
+    row meets the columns of its blocks in ascending order, so a merge that
+    keeps the first of equal candidates keeps the lowest index.
+    """
+    n = len(x)
+    bag_rows = _feature_rows(x)
+    bounds = sorted({n_old, n, *(int(s) for s in stops if n_old < s < n)})
+    parts = list(zip(bounds, bounds[1:]))
+    if n_old:
+        for lo, hi in parts:
+            for chunk in _row_chunks(hi - lo, n_old):
+                rows = slice(lo + chunk.start, min(hi, lo + chunk.stop))
+                yield rows, slice(0, n_old), _sq_dists_to(x[rows], bag_rows[:, :n_old]), 0
+    for lo, end in parts:
+        for chunk in _row_chunks(end - lo, n):
+            rows = slice(lo + chunk.start, min(end, lo + chunk.stop))
+            if rows.start < n - 1:
+                sq = _sq_dists_to(x[rows], bag_rows[:, rows.start:])
+                np.fill_diagonal(sq, np.inf)
+                yield rows, slice(rows.start, n), sq, len(sq)
 
 
 def _rows_to_compute(bag: Bag, n_old: int, threshold: np.ndarray) -> np.ndarray:
@@ -259,35 +312,18 @@ class KnnConfig:
             raise ValueError("k must be a positive integer")
 
 
-def _label_columns(codes: np.ndarray) -> dict:
-    """The bag columns holding each label code."""
-    n_codes = int(codes.max()) + 1 if len(codes) else 0
-    return {code: np.flatnonzero(codes == code) for code in range(n_codes)}
-
-
-def _knn_rows(
-    k: int, sq: np.ndarray, row_codes: np.ndarray, groups: dict, own: np.ndarray, labels
-) -> np.ndarray:
-    """Scores of target rows from their squared distances ``sq`` to the bag.
-
-    Returns shape (3, rows): the scores, then each row's k-th smallest
-    same-label and other-label squared distance.  ``row_codes`` are the
-    rows' label codes (-1: a label the bag lacks) and ``groups`` the bag's
-    :func:`_label_columns`; ``own[i] >= 0`` is the bag column of row i
-    itself, set to infinity in ``sq`` so that it leaves row i's same-label
-    group; ``labels[i]`` names row i in errors.
-    """
-    present = sorted(set(row_codes.tolist()))
-    has_own = own >= 0
-    for code in present:
-        mine = row_codes == code
-        n_same = len(groups.get(code, ()))
-        n_usable = n_same - int(has_own[mine].any())
-        _check_neighbours(k, labels[mine.argmax()], n_usable, sq.shape[1] - n_same)
-    sq[has_own, own[has_own]] = np.inf
-    sums = _neighbour_sums(k, sq, groups, present)
-    num, den, kth_same, kth_other = sums[:, np.arange(len(sq)), np.searchsorted(present, row_codes)]
-    return np.stack([_ratio_scores(num, den), kth_same, kth_other])
+def _label_columns(codes: np.ndarray, held: dict | None = None) -> dict:
+    """The bag columns holding each label code.  With ``held``, the groups
+    of the bag's first columns, ``codes`` are the codes of the columns that
+    follow, and each group that gains columns is extended by them."""
+    groups = dict(held or {})
+    start = sum(len(cols) for cols in groups.values())
+    n_codes = max(len(groups), int(codes.max()) + 1 if len(codes) else 0)
+    for code in range(n_codes):
+        new = start + np.flatnonzero(codes == code)
+        if len(new) or code not in groups:
+            groups[code] = np.concatenate([groups.get(code, new[:0]), new])
+    return groups
 
 
 def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool) -> np.ndarray:
@@ -314,13 +350,22 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     for rows in _row_chunks(len(target), len(training)):
         sq = _sq_dists_to(target.x[rows], bag_rows)
         row_codes = target_codes[rows]
-        if not is_training_bag:
-            own = np.full(len(sq), -1)
-        else:
-            # the example itself: its first zero-distance same-label occurrence
+        has_own = np.zeros(len(sq), dtype=bool)
+        if is_training_bag:
+            # the example itself, its first zero-distance same-label column,
+            # leaves its same-label group
             zero = (sq == 0) & (codes[None, :] == row_codes[:, None])
-            own = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
-        out[rows] = _knn_rows(cfg.k, sq, row_codes, groups, own, target.y[rows])[0]
+            has_own = zero.any(axis=1)
+            sq[has_own, zero.argmax(axis=1)[has_own]] = np.inf
+        present = sorted(set(row_codes.tolist()))
+        for code in present:
+            mine = row_codes == code
+            n_same = len(groups.get(code, ()))
+            n_usable = n_same - int(has_own[mine].any())
+            _check_neighbours(cfg.k, target.y[rows][mine.argmax()], n_usable, sq.shape[1] - n_same)
+        sums = _neighbour_sums(cfg.k, sq, groups, present)
+        num, den = sums[:, np.arange(len(sq)), np.searchsorted(present, row_codes)]
+        out[rows] = _ratio_scores(num, den)
     return out
 
 
@@ -347,13 +392,13 @@ def knn_score_per_label(
 class KnnClassifierMeasure(NonconformityMeasure):
     """Nonconformity as the ratio of same-label to other-label neighbour distances.
 
-    ``scores``, ``extend`` and ``score_matrix`` take the k nearest through
-    one sorted selection per label group (:func:`_neighbour_sums`).
-    ``extend`` also keeps each example of the bag it fits with its score
-    and its k-th smallest same-label and other-label squared distance (O(n)
-    floats), so the next ``extend``, when its bag continues that one,
-    rescores only the examples a new example comes closer to than that
-    threshold, plus the new examples themselves.
+    ``scores`` and ``score_matrix`` take the k nearest through one sorted
+    selection per label group (:func:`_neighbour_sums`).  ``extend`` keeps,
+    for each example of the bag it fits, its sorted k smallest same-label
+    and other-label squared distances (O(n·k) floats).  It merges the
+    distances of each new example into them (:func:`_new_pairs`), so a step
+    that continues the fitted bag computes only the new examples' distances,
+    and a fit from nothing each distance once.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -362,8 +407,10 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._codes = np.empty(0, dtype=int)
         self._code_of: dict = {}
         self._groups: dict = {}  # _label_columns of _codes
-        # (scores, kth) of the bag fitted by extend
-        self._fit: tuple[np.ndarray, np.ndarray] | None = None
+        # (near,) of the bag fitted by extend: near[i, 0] and near[i, 1] are
+        # the sorted k smallest same-label and other-label squared distances
+        # of example i to the other examples
+        self._fit: tuple[np.ndarray] | None = None
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
@@ -376,28 +423,48 @@ class KnnClassifierMeasure(NonconformityMeasure):
 
     def extend(self, bag: Bag) -> np.ndarray:
         """Training scores of ``bag``; when it continues the bag of the last
-        ``extend``, only the rows its new examples change are rescored.
+        ``extend``, only the distances of its new examples are computed.
 
-        A label with too few neighbours raises, as ``scores`` would, before
-        any state changes.
+        Excluding each example itself drops the same zero as the first
+        zero-distance same-label column that ``knn_scores`` drops, and a
+        score depends only on the sorted values of its k smallest, so the
+        scores are those of ``knn_scores``.  A label with too few neighbours
+        raises, as ``scores`` would, before any state changes.
         """
-        n_old, (scores, kth) = _resume(self._bag, self._fit, bag, (np.empty(0), np.empty((2, 0))))
+        k = self.config.k
+        n_old, (near,) = _resume(self._bag, self._fit, bag, (np.empty((0, 2, k)),))
         codes, code_of = _label_codes(bag.y[n_old:], self._codes[:n_old], self._code_of if n_old else None)
-        # an old example changes only if a new example of its own label comes
-        # closer than its same-label threshold, or one of another label
-        # closer than its other-label threshold
-        same = codes[n_old:, None] == codes[None, :n_old]
-        rows = _rows_to_compute(bag, n_old, np.where(same, kth[0, :n_old], kth[1, :n_old]))
-        groups = _label_columns(codes)
-        bag_rows = _feature_rows(bag.x)
-        for chunk in _row_chunks(len(rows), len(bag)):
-            idx = rows[chunk]
-            sq = _sq_dists_to(bag.x[idx], bag_rows)
-            fresh = _knn_rows(self.config.k, sq, codes[idx], groups, idx, [bag.y[i] for i in idx])
-            scores[idx], kth[:, idx] = fresh[0], fresh[1:]
+        held = self._groups if n_old else {}
+        groups = _label_columns(codes[n_old:], held)
+        for cols in groups.values():
+            _check_neighbours(k, bag.y[cols[0]], len(cols) - 1, len(bag) - len(cols))
+        # work in label order: the held examples by label, then the new ones
+        # by label, so that every block's rows share a label and its columns
+        # of that label are one run
+        order = np.concatenate([*held.values(), n_old + np.argsort(codes[n_old:], kind="stable")])
+        old_sizes = np.array([len(held.get(code, ())) for code in groups], dtype=int)
+        new_ends = n_old + np.cumsum(np.bincount(codes[n_old:], minlength=len(groups)))
+        lists = near[order]
+        lists[n_old:] = np.inf
+        for rows, cols, sq, skip in _new_pairs(bag.x[order], n_old, new_ends):
+            code = np.searchsorted(new_ends, rows.start, side="right")
+            if cols.stop <= n_old:  # the held examples
+                end = old_sizes[: code + 1].sum()
+                same = slice(end - old_sizes[code], end)
+            else:  # the new examples from the block's first row on
+                same = slice(0, new_ends[code] - cols.start)
+            lists[rows, 0] = _merge_smallest(lists[rows, 0], [sq[:, same]], k)
+            lists[rows, 1] = _merge_smallest(lists[rows, 1], [sq[:, : same.start], sq[:, same.stop:]], k)
+            # through the transpose, into the columns that are not the block's rows
+            for side, lo, hi in ((1, 0, same.start), (0, same.start, same.stop), (1, same.stop, sq.shape[1])):
+                lo = max(lo, skip)
+                into = slice(cols.start + lo, cols.start + hi)
+                lists[into, side] = _merge_smallest(lists[into, side], [sq[:, lo:hi].T], k)
+        near[order] = lists
         self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
-        self._fit = (scores, kth)
-        return scores.copy()
+        self._fit = (near,)
+        num, den = _root_sums(near).T
+        return _ratio_scores(num, den)
 
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
         return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
@@ -418,7 +485,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         out = np.empty((X.shape[0], len(label_space)))
         bag_rows = _feature_rows(bag.x)
         for rows in _row_chunks(X.shape[0], len(bag)):
-            num, den, _, _ = _neighbour_sums(k, _sq_dists_to(X[rows], bag_rows), self._groups, codes)
+            num, den = _neighbour_sums(k, _sq_dists_to(X[rows], bag_rows), self._groups, codes)
             out[rows] = _ratio_scores(num, den)
         return out
 

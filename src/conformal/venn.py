@@ -16,7 +16,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .data import Bag, Label, check_labels_known, check_observations, require_trained
-from .ncm import _feature_rows, _resume, _row_chunks, _rows_to_compute, _sq_dists_to
+from .ncm import _feature_rows, _new_pairs, _resume, _row_chunks, _sq_dists_to
 
 
 class VennTaxonomy(ABC):
@@ -70,9 +70,10 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     neighbour.  Distance ties break by ascending bag index.  Degenerate bags
     (empty, or a singleton equal to x) fall back to the hypothesis label so
     the mapping stays total.  ``extend`` keeps each example's nearest index
-    and squared distance, so the next ``extend``, when its bag continues
-    that one, searches again only for the examples a new example comes
-    strictly closer to, and for the new examples.
+    and squared distance, and merges the distances of each new example into
+    them (``ncm._new_pairs``), so a step that continues the fitted bag
+    computes only the new examples' distances, and a fit from nothing each
+    distance once.
     """
 
     def __init__(self):
@@ -102,14 +103,34 @@ class NearestNeighborTaxonomy(VennTaxonomy):
 
     def extend(self, bag: Bag) -> list[Hashable]:
         n_old, (nearest, dist) = _resume(self._bag, self._fit, bag, (np.empty(0, int), np.empty(0)))
-        # an example a new one comes strictly closer to is searched again
-        # over the whole bag: its own first zero-distance occurrence is an
-        # old row, and argmin keeps the lowest index among ties
-        rows = _rows_to_compute(bag, n_old, dist[:n_old])
-        nearest[rows], dist[rows] = _nearest(bag.x, bag.x[rows], np.ones(len(rows), bool))
+        nearest[n_old:], dist[n_old:] = -1, np.inf
+        for rows, cols, sq, skip in _new_pairs(bag.x, n_old):
+            _merge_nearest(nearest, dist, rows, cols, sq)
+            _merge_nearest(nearest, dist, slice(cols.start + skip, cols.stop), rows, sq[:, skip:].T)
+        # the merge skips each example itself, _nearest its first
+        # zero-distance occurrence: they differ for a new example r with a
+        # zero-distance one at a lower index.  Then j = nearest[r] is the
+        # first occurrence of r's duplicates, and _nearest skips j and keeps
+        # the lowest other index at distance 0, which the merge gave j.  (The
+        # held examples already hold what _nearest gave them, and a later
+        # example never comes strictly closer than distance 0.)
+        new = np.arange(n_old, len(bag))
+        dup = new[(dist[n_old:] == 0) & (nearest[n_old:] < new)]
+        nearest[dup] = nearest[nearest[dup]]
         self._bag = bag
         self._fit = (nearest, dist)
         return [y if j < 0 else bag.y[j] for j, y in zip(nearest.tolist(), bag.y)]
+
+
+def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: slice, sq: np.ndarray) -> None:
+    """Merge the squared distances ``sq`` of the examples in slice ``rows``
+    to those in slice ``cols`` into their held nearest index and distance; a
+    tie keeps the held index, which is the lower one."""
+    best = sq.argmin(axis=1)
+    d = sq[np.arange(len(sq)), best]
+    closer = np.flatnonzero(d < dist[rows])
+    nearest[rows.start + closer] = cols.start + best[closer]
+    dist[rows.start + closer] = d[closer]
 
 
 def _nearest(bag_x: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal import Bag, SeededRng, SplitSpec, load_csv, save_csv, split, tau_stream
 
@@ -134,6 +136,37 @@ class TestSplit:
             split(self._bag(40), SplitSpec(0.999, 0))
         with pytest.raises(ValueError, match="held-out"):
             split(self._bag(1), SplitSpec(0.5, 0))
+
+
+CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(0, 5).flatmap(
+        lambda d: st.lists(st.lists(CSV_FLOATS, min_size=d, max_size=d), min_size=1, max_size=8)
+    ),
+    label_at=st.integers(0, 5),
+    spelling=st.sampled_from(["{!r}", "{:.17g}", "{:.17e}"]),
+    pad=st.sampled_from([("", ""), (" ", ""), ("", "  "), ("\t ", " ")]),
+)
+def test_property_csv_features_equal_the_float_loop(tmp_path_factory, rows, label_at, spelling, pad):
+    # every feature cell loads bit for bit as float() parses it, wherever
+    # the label column is
+    label_at %= len(rows[0]) + 1
+    cells = [[pad[0] + spelling.format(v) + pad[1] for v in row] for row in rows]
+    header = [f"x{j}" for j in range(len(rows[0]))]
+    lines = [header[:label_at] + ["label"] + header[label_at:]]
+    lines += [row[:label_at] + ["AB"[i % 2]] + row[label_at:] for i, row in enumerate(cells)]
+    path = tmp_path_factory.getbasetemp() / "features.csv"
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+    bag = load_csv(path, label_at)
+    expected = np.array([[float(c) for c in row] for row in cells], dtype=float).reshape(len(rows), len(header))
+    assert bag.x.shape == expected.shape and bag.x.tobytes() == expected.tobytes()
+    assert bag.y == tuple("AB"[i % 2] for i in range(len(rows)))
 
 
 class TestCsv:

@@ -196,6 +196,59 @@ def test_property_incremental_scores_equal_retraining(seed, k, n, chunks):
         lo += size
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.sampled_from([1, 2, 3, 8]),
+    n=st.integers(27, 40),
+    chunks=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    block=st.sampled_from([64, ncm._BLOCK_ENTRIES]),
+)
+def test_property_fits_and_extends_equal_knn_scores(seed, k, n, chunks, block):
+    # a fit from nothing, extends by chunks and knn_scores give the same
+    # bits, up to k = 8 (n >= 27 leaves every label of a three-label grid
+    # at least 9 rows); a small block budget makes many tiles and row chunks
+    bag = grid_bag(n, seed)
+    stream = grid_stream(bag, sum(chunks), seed + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncm, "_BLOCK_ENTRIES", block)
+        measure = KnnClassifierMeasure(KnnConfig(k=k))
+        measure.extend(bag)
+        merged, lo = bag, 0
+        for size in chunks:
+            merged = merged.append(stream.subset(range(lo, lo + size)))
+            got = measure.extend(merged)
+            assert same_bits(got, knn_scores(KnnConfig(k=k), merged, merged, True))
+            assert same_bits(got, KnnClassifierMeasure(KnnConfig(k=k)).extend(merged))
+            lo += size
+
+
+@pytest.mark.parametrize("block", [4096, ncm._BLOCK_ENTRIES])
+@pytest.mark.parametrize("plug_in", ["measure", "taxonomy"])
+def test_fits_compute_each_distance_once(monkeypatch, block, plug_in):
+    # a fit from nothing passes n(n+1)/2 distances to the kernel, plus the
+    # lower triangles of its tiles (at most one tile); a one-row step then
+    # passes one 1 x n block
+    entries = []
+
+    def spy(a, b_rows):
+        entries.append(len(a) * b_rows.shape[1])
+        return sq_dists_to(a, b_rows)
+
+    sq_dists_to = ncm._sq_dists_to
+    monkeypatch.setattr(ncm, "_sq_dists_to", spy)
+    monkeypatch.setattr(ncm, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(121)
+    n = 300
+    bag = Bag.classification(rng.standard_normal((n + 1, 4)), [LABELS[i % 3] for i in range(n + 1)], LABELS)
+    fit = KnnClassifierMeasure(KnnConfig(k=2)) if plug_in == "measure" else NearestNeighborTaxonomy()
+    fit.extend(bag.subset(range(n)))
+    assert n * (n + 1) // 2 <= sum(entries) <= n * (n + 1) // 2 + block
+    entries.clear()
+    fit.extend(bag)
+    assert entries == [n]
+
+
 class TestVenn:
     def check(self, start, stream, queries):
         venn = VennPredictor(NearestNeighborTaxonomy()).train(start)
@@ -350,31 +403,57 @@ def test_raising_extend_keeps_the_held_fit(continues):
 
 def test_rejected_cp_step_resumes_from_the_kept_fit(monkeypatch):
     # the measure's extend raises on a label with too few neighbours; the
-    # next step rescores only what it changes, as without the rejected step
-    rescored = []
+    # next step computes only the new example's distances, as without the
+    # rejected step
+    computed = []
 
-    def spy(k, sq, *args):
-        out = knn_rows(k, sq, *args)
-        rescored.append(len(sq))
-        return out
+    def spy(x, n_old, *args):
+        for block in new_pairs(x, n_old, *args):
+            computed.append(len(block[2]))
+            yield block
 
-    knn_rows = ncm._knn_rows
-    monkeypatch.setattr(ncm, "_knn_rows", spy)
+    new_pairs = ncm._new_pairs
+    monkeypatch.setattr(ncm, "_new_pairs", spy)
     bag = grid_bag(200, 116, labels=("A", "B"))
     step = grid_stream(bag, 1, 117)
     cp, ref = cp_pair(lambda: KnnClassifierMeasure(KnnConfig(k=3)))
     cp.train(bag)
     ref.train(bag)
-    rescored.clear()
+    computed.clear()
     with pytest.raises(ValueError, match="label 'Z': 0 same-label"):
         cp.train(Bag.classification(grid_bag(1, 118).x, ["Z"], ("A", "B", "Z")))
     assert cp.bag is bag
     cp.train(step)
-    after_reject = sum(rescored)
-    rescored.clear()
+    after_reject = sum(computed)
+    computed.clear()
     ref.train(step)
-    assert after_reject == sum(rescored) < len(bag)
+    assert after_reject == sum(computed) < len(bag)
     assert_same_stores(cp, ref)
+
+
+def test_rejected_cp_step_of_a_default_extend_measure_only_retrains():
+    # a measure without an extend override is trained on the kept bag after
+    # a rejected step, not scored on it again; the next step is a fresh fit
+    calls = []
+    limit = [30]
+
+    class Counting(DecisionTreeMeasure):
+        def scores(self, bag, is_training_bag):
+            calls.append(len(bag))
+            out = super().scores(bag, is_training_bag)
+            return np.full(len(bag), np.nan) if len(bag) > limit[0] else out
+
+    bag = grid_bag(30, 119)
+    step = grid_stream(bag, 1, 120)
+    cp = ConformalClassifier(Counting(CartConfig(max_depth=3)), CpConfig(EPSILONS)).train(bag)
+    calls.clear()
+    with pytest.raises(ValueError, match="non-finite scores"):
+        cp.train(step)
+    assert calls == [31] and cp.bag is bag
+    limit[0] = 31
+    cp.train(step)
+    ref = ConformalClassifier(DecisionTreeMeasure(CartConfig(max_depth=3)), CpConfig(EPSILONS))
+    assert_same_stores(cp, ref.train(bag.append(step)))
 
 
 def test_provider_rejects_a_small_bag_and_keeps_its_fit():
@@ -388,15 +467,15 @@ def test_provider_rejects_a_small_bag_and_keeps_its_fit():
 
 
 def k_smallest(sq, k):
-    """Each row's neighbour sum over its k smallest entries, and the k-th
-    smallest, as :func:`_neighbour_sums` computes them once as the
-    same-label group (numerator) and once as the other labels
-    (denominator) of a bag with a second group of k ones."""
+    """Each row's neighbour sum over its k smallest entries, as
+    :func:`_neighbour_sums` computes it once as the same-label group
+    (numerator) and once as the other labels (denominator) of a bag with a
+    second group of k ones."""
     w = sq.shape[1]
     block = np.hstack([sq, np.ones((len(sq), k))])
-    num, den, kth_same, kth_other = _neighbour_sums(k, block, {0: np.arange(w), 1: w + np.arange(k)}, [0, 1])
-    assert same_bits(num[:, 0], den[:, 1]) and same_bits(kth_same[:, 0], kth_other[:, 1])
-    return num[:, 0], kth_same[:, 0]
+    num, den = _neighbour_sums(k, block, {0: np.arange(w), 1: w + np.arange(k)}, [0, 1])
+    assert same_bits(num[:, 0], den[:, 1])
+    return num[:, 0]
 
 
 class TestNeighbourSums:
@@ -408,20 +487,21 @@ class TestNeighbourSums:
         rng = np.random.default_rng(k)
         for width in (600, k):
             sq = np.vstack([rng.random((20, width)), rng.integers(0, 9, (20, width)).astype(float)])
-            sums, kth = k_smallest(sq, k)
+            sums = k_smallest(sq, k)
+            kth = np.sort(sq, axis=1)[:, k - 1]
             for trial in range(5):
                 perm = rng.permutation(sq.shape[1])
-                assert same_bits(k_smallest(sq[:, perm], k)[0], sums)
+                assert same_bits(k_smallest(sq[:, perm], k), sums)
                 extra = kth[:, None] + rng.integers(0, 2, (len(sq), 50)) * rng.random((len(sq), 50))
                 wider = np.hstack([sq, extra])[:, rng.permutation(width + 50)]
-                assert same_bits(k_smallest(wider, k)[0], sums)
+                assert same_bits(k_smallest(wider, k), sums)
 
     @pytest.mark.parametrize("k", [3, 4, 9, 16])
     def test_sum_ignores_the_order_numpy_selects_in(self, monkeypatch, k):
         # numpy promises only that the k smallest come first, in some order
         rng = np.random.default_rng(k)
         sq = rng.random((40, 300))
-        sums, kth = k_smallest(sq, k)
+        sums = k_smallest(sq, k)
         partition = np.partition
 
         def reversed_selection(a, kth, axis=-1):
@@ -430,8 +510,7 @@ class TestNeighbourSums:
             return out
 
         monkeypatch.setattr(np, "partition", reversed_selection)
-        assert same_bits(k_smallest(sq, k)[0], sums)
-        assert same_bits(k_smallest(sq, k)[1], kth)
+        assert same_bits(k_smallest(sq, k), sums)
 
 
 class TestQueryWidth:

@@ -50,6 +50,22 @@ def distance_inputs(draw, n_bag=st.integers(1, 40), d=st.integers(1, 20)):
     return np.vstack([rows[:m], bag[copies]]), bag
 
 
+@st.composite
+def signed_wide_inputs(draw):
+    """:func:`distance_inputs` scaled per feature up to about 1e150, with
+    entries of 0.0, -0.0 and +-5e-324, then copies of bag rows whose zeros
+    have the other sign."""
+    queries, bag = draw(distance_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.integers(-150, 143, size=bag.shape[1])
+    queries, bag = queries * scale, bag * scale
+    special = rng.random(bag.shape) < 0.2
+    bag[special] = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=bag.shape)[special]
+    copies = bag[draw(st.lists(st.integers(0, len(bag) - 1), max_size=3))]
+    copies[copies == 0] *= -1
+    return np.vstack([queries, copies]), bag
+
+
 def assert_oracle_distances(queries, bag):
     got = ncm._pairwise_sq_dists(queries, bag)
     np.testing.assert_array_equal(got, sq_dists_oracle(queries, bag))
@@ -71,6 +87,19 @@ class TestDistanceKernel:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ncm, "_REDUCE_ENTRIES", self.PATHS[path])
             assert_oracle_distances(*inputs)
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=signed_wide_inputs())
+    def test_bitwise_symmetric(self, path, inputs):
+        # fl(a - b) = -fl(b - a), and both paths add the squares in feature
+        # order, so the fits may take d(j, i) as the transpose of d(i, j)
+        a, b = inputs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncm, "_REDUCE_ENTRIES", self.PATHS[path])
+            ab = ncm._sq_dists_to(a, ncm._feature_rows(b))
+            ba = ncm._sq_dists_to(b, ncm._feature_rows(a))
+        assert ab.shape == ba.T.shape and ab.tobytes() == ba.T.tobytes()
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(inputs=distance_inputs(n_bag=st.just(1), d=st.integers(8, 40)))

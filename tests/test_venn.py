@@ -130,6 +130,28 @@ class TestNearestNeighborTaxonomy:
         taxonomy.train(Bag.classification([[1.0], [3.0]], ["A", "B"]))
         assert taxonomy.category(np.array([2.0]), "B", False) == "A"
 
+    @pytest.mark.parametrize(
+        "x, y, expected",
+        [
+            ([[0.0]], ["A"], ["A"]),
+            ([[0.0], [0.0]], ["A", "B"], ["B", "B"]),
+            ([[0.0], [1.0]], ["A", "B"], ["B", "A"]),
+            # row 2 repeats row 0 under another label: its first zero-distance
+            # occurrence is row 0, so it is its own nearest neighbour
+            ([[0.0], [3.0], [0.0]], ["A", "B", "C"], ["C", "A", "C"]),
+            ([[3.0], [0.0], [-0.0], [0.0]], ["A", "B", "C", "A"], ["B", "C", "C", "C"]),
+        ],
+    )
+    def test_extend_skips_the_first_zero_distance_occurrence(self, x, y, expected):
+        bag = Bag.classification(x, y, ("A", "B", "C"))
+        taxonomy = NearestNeighborTaxonomy()
+        assert taxonomy.extend(bag) == expected
+        hypotheses = [(lbl,) for lbl in bag.y]
+        assert [row[0] for row in taxonomy.categories(bag.x, hypotheses, np.ones(len(bag), bool))] == expected
+        for cut in range(1, len(bag)):
+            taxonomy.extend(bag.subset(range(cut)))
+            assert taxonomy.extend(bag) == expected
+
 
 class TestMatrixProperties:
     def test_rows_sum_to_one(self):
