@@ -105,6 +105,11 @@ _BLOCK_ENTRIES = 1 << 16
 #: single block would push out of cache, keep the per-feature loop.
 _REDUCE_ENTRIES = 1 << 15
 
+#: Ufunc buffer size (elements) set around the per-feature loop.  With
+#: numpy's default of 8192, a broadcast subtract against a bag of fewer than
+#: about 2731 rows is buffered across rows, about 4x slower per entry.
+_LOOP_BUFSIZE = 256
+
 
 def _row_chunks(m: int, n: int):
     """Slices cutting ``m`` query rows into chunks of at most ``_BLOCK_ENTRIES``
@@ -134,7 +139,13 @@ def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     small input is one (m, d, n) block whose reduction over axis 1 adds
     whole feature slices in turn, as the loop does; a bag of one row stays
     on the loop, because numpy sums a reduction over a single contiguous
-    column pairwise, in another order.
+    column pairwise, in another order.  The loop writes the first square
+    straight into its block (fl(0 + s) = s for every square s >= +0) and
+    runs under a ``_LOOP_BUFSIZE``-element ufunc buffer, restored on exit,
+    so that numpy does not buffer its broadcast subtract across rows; a
+    buffer size changes how elementwise operations are chunked, never their
+    results.  The single reduce keeps the caller's buffer, so its summation
+    order cannot move, and a one-row query does not pay for the switch.
     """
     a = np.asarray(a, dtype=float)
     m, (d, n) = a.shape[0], b_rows.shape
@@ -142,14 +153,22 @@ def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
         block = np.subtract(a[:, :, None], b_rows[None, :, :])
         np.multiply(block, block, out=block)
         return np.add.reduce(block, axis=1)
-    out = np.zeros((m, n))
-    for rows in _row_chunks(m, n):
-        block = out[rows]
-        tmp = np.empty_like(block)
-        for j in range(d):
-            np.subtract(a[rows, j][:, None], b_rows[j][None, :], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            np.add(block, tmp, out=block)
+    if d == 0:
+        return np.zeros((m, n))
+    out = np.empty((m, n))
+    old = np.setbufsize(_LOOP_BUFSIZE)
+    try:
+        for rows in _row_chunks(m, n):
+            block = out[rows]
+            np.subtract(a[rows, 0][:, None], b_rows[0][None, :], out=block)
+            np.multiply(block, block, out=block)
+            tmp = np.empty_like(block)
+            for j in range(1, d):
+                np.subtract(a[rows, j][:, None], b_rows[j][None, :], out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                np.add(block, tmp, out=block)
+    finally:
+        np.setbufsize(old)
     return out
 
 

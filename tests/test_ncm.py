@@ -116,6 +116,63 @@ class TestDistanceKernel:
         bag = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
         assert_oracle_distances(np.vstack([rng.standard_normal((1, d)), bag[:1]]), bag)
 
+    # numpy's default 8192-element buffer spans rows of fewer than 8192 / 3
+    # bag columns; the loop's own buffer is smaller than any of these widths
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("n", [2730, 2731, 2732, 8200])
+    def test_widths_around_the_buffer(self, path, n):
+        rng = np.random.default_rng(n)
+        d = 5
+        bag = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        queries = np.vstack([rng.standard_normal((2, d)), bag[[0, n - 1]]])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncm, "_REDUCE_ENTRIES", self.PATHS[path])
+            assert_oracle_distances(queries, bag)
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_no_features_give_zero_distances(self, path, n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncm, "_REDUCE_ENTRIES", self.PATHS[path])
+            got = ncm._sq_dists_to(np.empty((3, 0)), np.empty((0, n)))
+        assert got.shape == (3, n) and got.tobytes() == np.zeros((3, n)).tobytes()
+
+    def test_loop_restores_the_buffer_size(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a, b_rows = rng.standard_normal((4, 3)), rng.standard_normal((3, 50))
+        monkeypatch.setattr(ncm, "_REDUCE_ENTRIES", -1)
+        caller = np.setbufsize(4096)
+        try:
+            ncm._sq_dists_to(a, b_rows)
+            assert np.getbufsize() == 4096
+
+            seen = []
+
+            def failing_multiply(*args, **kwargs):
+                seen.append(np.getbufsize())
+                raise FloatingPointError("injected")
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np, "multiply", failing_multiply)
+                with pytest.raises(FloatingPointError, match="injected"):
+                    ncm._sq_dists_to(a, b_rows)
+            assert seen == [ncm._LOOP_BUFSIZE] and np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)
+
+    def test_reduce_path_keeps_the_caller_buffer(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        seen = []
+        multiply = np.multiply
+
+        def spy(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", spy)
+        ncm._sq_dists_to(rng.standard_normal((1, 3)), rng.standard_normal((3, 50)))
+        assert seen == [np.getbufsize()]
+
 
 class TestKnnScores:
     def test_hand_computed_ratio(self):

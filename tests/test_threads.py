@@ -2,10 +2,12 @@
 
 The CP, ICP, Venn and RRCM docstrings say a trained instance may serve
 concurrent prediction calls (CP and ICP callers each bring their own
-``SeededRng``).  Each query batch here is small enough for the distance
-kernel's single-reduce path, which allocates its block per call.  Four
-threads share one instance here, with a short switch interval so that
-they interleave inside the calls, and must give the serial results.
+``SeededRng``).  Most query batches here are small enough for the distance
+kernel's single-reduce path, which allocates its block per call; the
+large-batch cases run its per-feature loop, which sets numpy's ufunc
+buffer size for its own thread and restores it.  Four threads share one
+instance here, with a short switch interval so that they interleave
+inside the calls, and must give the serial results.
 """
 
 import sys
@@ -87,3 +89,27 @@ def test_venn_predict_concurrently():
     serial = [venn.predict(q) for q in queries]
     for row in run_concurrently(lambda i: venn.predict(queries[i])):
         assert row == serial
+
+
+def test_large_batches_concurrently():
+    # 40 rows x 2 features x 1000 bag rows is past the single-reduce bound
+    bag = gaussian_blobs(1000, seed=90)
+    cp = ConformalClassifier(
+        KnnClassifierMeasure(KnnConfig(k=3)), CpConfig(epsilons=(0.1,), smoothed=True)
+    ).train(bag)
+    venn = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+    queries = [gaussian_blobs(40, seed=91 + i).x for i in range(THREADS)]
+    caller = np.getbufsize()
+
+    def task(i):
+        before = np.getbufsize()
+        values = cp.p_values(queries[i], SeededRng(100 + i)).values
+        return values, venn.predict(queries[i]), (before, np.getbufsize())
+
+    serial = [task(i) for i in range(THREADS)]
+    assert np.getbufsize() == caller
+    for row in run_concurrently(task):
+        for (values, venn_out, (before, after)), (want_values, want_venn, _) in zip(row, serial):
+            assert np.array_equal(values, want_values) and venn_out == want_venn
+            assert after == before
+    assert np.getbufsize() == caller
