@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -53,9 +54,14 @@ class Bag:
     order is stored only to keep smoothing and reporting reproducible --
     every predictor output is invariant under permutation of the bag.
     Bags are immutable after construction and safe to share across threads.
+
+    A bag made by :meth:`append` remembers, through a weak reference, the
+    bag it extended, so :meth:`starts_with` answers for that bag in O(1);
+    a copy or an unpickled bag is checked again as a new bag, read-only,
+    and remembers nothing.
     """
 
-    __slots__ = ("x", "y", "label_space")
+    __slots__ = ("x", "y", "label_space", "_prefix", "__weakref__")
 
     def __init__(self, x, y, label_space: Sequence[Label] = ()):
         x = np.array(x, dtype=float)
@@ -83,6 +89,10 @@ class Bag:
         self.x = x
         self.y = y
         self.label_space = label_space
+        self._prefix = None
+
+    def __reduce__(self):
+        return Bag, (self.x, self.y, self.label_space)
 
     @classmethod
     def classification(cls, x, y, label_space: Sequence[Label] | None = None) -> "Bag":
@@ -133,7 +143,17 @@ class Bag:
         merged.x.setflags(write=False)
         merged.y = self.y + other.y
         merged.label_space = space
+        merged._prefix = weakref.ref(self)
         return merged
+
+    def starts_with(self, other: "Bag") -> bool:
+        """Whether the first examples of this bag are exactly those of
+        ``other``: O(1) when this bag is ``other`` or was appended to it,
+        an O(n·d) comparison otherwise."""
+        if self is other or (self._prefix is not None and self._prefix() is other):
+            return True
+        n = len(other)
+        return n <= len(self) and other.y == self.y[:n] and np.array_equal(other.x, self.x[:n])
 
 
 def check_observations(X, n_features: int) -> np.ndarray:

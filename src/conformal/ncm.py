@@ -132,6 +132,14 @@ def _feature_rows(b: np.ndarray) -> np.ndarray:
     return np.asarray(b, dtype=float).T.copy()
 
 
+def _grown_rows(rows: np.ndarray, bag: Bag, n_old: int) -> np.ndarray:
+    """The :func:`_feature_rows` of ``bag``, given ``rows``, those of its
+    first ``n_old`` examples (all of them when ``n_old`` is ``len(bag)``)."""
+    if n_old == 0:
+        return _feature_rows(bag.x)
+    return rows if n_old == len(bag) else np.concatenate([rows, bag.x[n_old:].T], axis=1)
+
+
 def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     """:func:`_pairwise_sq_dists` against a bag given by its feature rows.
 
@@ -201,17 +209,18 @@ def _root_sums(sq: np.ndarray) -> np.ndarray:
 def _merge_smallest(held: np.ndarray, cands, k: int) -> np.ndarray:
     """Per row, the k smallest of a row of ``held`` (sorted, k wide) and of
     the same rows of the candidate blocks ``cands`` together, sorted, as
-    :func:`_smallest` selects them."""
-    cands = [c for c in cands if c.shape[1]]
+    :func:`_smallest` selects them.  A row is a position on the leading
+    axes; its entries lie along the last axis."""
+    cands = [c for c in cands if c.shape[-1]]
     if k == 1:
         for c in cands:
-            held = np.minimum(held, c.min(axis=1, keepdims=True))
+            held = np.minimum(held, c.min(axis=-1, keepdims=True))
         return held
     # only a row with a candidate below its k-th smallest changes
-    hit = np.zeros(len(held), dtype=bool)
+    hit = np.zeros(held.shape[:-1], dtype=bool)
     for c in cands:
-        hit |= (c < held[:, -1:]).any(axis=1)
-    parts = [c[hit] if c.shape[1] <= k else np.partition(c[hit], k - 1, axis=1)[:, :k] for c in cands]
+        hit |= (c < held[..., -1:]).any(axis=-1)
+    parts = [c[hit] if c.shape[-1] <= k else np.partition(c[hit], k - 1, axis=1)[:, :k] for c in cands]
     out = held.copy()
     out[hit] = np.sort(np.concatenate([held[hit], *parts], axis=1), axis=1)[:, :k]
     return out
@@ -243,11 +252,10 @@ def _neighbour_sums(k: int, sq: np.ndarray, groups: dict, codes) -> np.ndarray:
 
 def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # num, den >= 0.  0/0 -> 0; x/0 -> largest finite float.
-    out = np.empty_like(num)
     zero_den = den == 0
-    np.divide(num, den, out=out, where=~zero_den)
-    out[zero_den & (num == 0)] = 0.0
-    out[zero_den & (num > 0)] = HUGE_SCORE
+    out = np.divide(num, den, out=np.empty_like(num), where=~zero_den)
+    if zero_den.any():
+        out[zero_den] = np.where(num[zero_den] == 0, 0.0, HUGE_SCORE)
     return out
 
 
@@ -260,18 +268,19 @@ def _check_neighbours(k: int, lbl: Label, n_same: int, n_other: int) -> None:
 
 def _resume(held: Bag | None, fit, bag: Bag, empty) -> tuple:
     """``(n_old, arrays)``.  ``n_old`` is ``len(held)`` when ``bag`` starts
-    with exactly the examples of ``held``, the bag that ``fit`` (None:
-    nothing usable) was made for; otherwise it is 0 and ``empty`` stands in
-    for ``fit``.  ``arrays`` are new copies of the fit's arrays, each grown
-    along its first axis to ``len(bag)`` entries, the new entries unset."""
+    with exactly the examples of ``held`` (:meth:`Bag.starts_with`), the bag
+    that ``fit`` (None: nothing usable) was made for; otherwise it is 0 and
+    ``empty`` stands in for ``fit``.  ``arrays`` are new copies of the fit's
+    arrays, each grown along its first axis to ``len(bag)`` entries, the new
+    entries unset."""
     n = 0 if fit is None else len(held)
-    if fit is None or n > len(bag) or held.y != bag.y[:n] or not np.array_equal(held.x, bag.x[:n]):
+    if fit is None or not bag.starts_with(held):
         n, fit = 0, empty
     new = len(bag) - n
     return n, tuple(np.concatenate([f, np.empty((new,) + f.shape[1:], f.dtype)]) for f in fit)
 
 
-def _new_pairs(x: np.ndarray, n_old: int, stops=()):
+def _new_pairs(x: np.ndarray, n_old: int, stops=(), bag_rows=None):
     """The squared distances of every pair of rows of ``x`` that holds a new
     row (index ``n_old`` or above), each computed once, as blocks ``(rows,
     cols, sq, skip)``: ``sq`` holds the distances of the rows in slice
@@ -279,6 +288,8 @@ def _new_pairs(x: np.ndarray, n_old: int, stops=()):
     rows, and through its transpose into the columns from ``cols.start +
     skip`` on; the columns before those are the block's own rows, whose
     diagonal is infinity.  No block's rows cross a position in ``stops``.
+    ``bag_rows`` are the :func:`_feature_rows` of ``x`` when the caller
+    holds them.
 
     The new rows meet the old ones in row chunks, then each other in
     symmetric tiles: row chunks whose columns start at the chunk's first
@@ -290,7 +301,7 @@ def _new_pairs(x: np.ndarray, n_old: int, stops=()):
     keeps the first of equal candidates keeps the lowest index.
     """
     n = len(x)
-    bag_rows = _feature_rows(x)
+    bag_rows = _feature_rows(x) if bag_rows is None else bag_rows
     bounds = sorted({n_old, n, *(int(s) for s in stops if n_old < s < n)})
     parts = list(zip(bounds, bounds[1:]))
     if n_old:
@@ -305,15 +316,6 @@ def _new_pairs(x: np.ndarray, n_old: int, stops=()):
                 sq = _sq_dists_to(x[rows], bag_rows[:, rows.start:])
                 np.fill_diagonal(sq, np.inf)
                 yield rows, slice(rows.start, n), sq, len(sq)
-
-
-def _rows_to_compute(bag: Bag, n_old: int, threshold: np.ndarray) -> np.ndarray:
-    """Every old example (of the first ``n_old``) that some new example comes
-    strictly closer to than its squared-distance ``threshold``, followed by
-    the new examples; a tie changes nothing.  ``threshold`` broadcasts
-    against the (new, old) squared distances."""
-    closer = _pairwise_sq_dists(bag.x[n_old:], bag.x[:n_old]) < threshold
-    return np.concatenate([np.flatnonzero(closer.any(axis=0)), np.arange(n_old, len(bag))])
 
 
 @dataclass(frozen=True)
@@ -337,11 +339,10 @@ def _label_columns(codes: np.ndarray, held: dict | None = None) -> dict:
     follow, and each group that gains columns is extended by them."""
     groups = dict(held or {})
     start = sum(len(cols) for cols in groups.values())
-    n_codes = max(len(groups), int(codes.max()) + 1 if len(codes) else 0)
-    for code in range(n_codes):
+    # codes follow first appearance, so a code new to ``held`` is the next one
+    for code in sorted(set(codes.tolist())):
         new = start + np.flatnonzero(codes == code)
-        if len(new) or code not in groups:
-            groups[code] = np.concatenate([groups.get(code, new[:0]), new])
+        groups[code] = np.concatenate([groups[code], new]) if code in groups else new
     return groups
 
 
@@ -417,7 +418,8 @@ class KnnClassifierMeasure(NonconformityMeasure):
     and other-label squared distances (O(n·k) floats).  It merges the
     distances of each new example into them (:func:`_new_pairs`), so a step
     that continues the fitted bag computes only the new examples' distances,
-    and a fit from nothing each distance once.
+    and a fit from nothing each distance once.  The bag's feature rows are
+    held from the last ``train`` or ``extend`` for ``score_matrix``.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -426,6 +428,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._codes = np.empty(0, dtype=int)
         self._code_of: dict = {}
         self._groups: dict = {}  # _label_columns of _codes
+        self._rows = np.empty((0, 0))  # _feature_rows of the bag
         # (near,) of the bag fitted by extend: near[i, 0] and near[i, 1] are
         # the sorted k smallest same-label and other-label squared distances
         # of example i to the other examples
@@ -435,6 +438,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._bag = bag
         self._codes, self._code_of = _label_codes(bag.y)
         self._groups = _label_columns(self._codes)
+        self._rows = _feature_rows(bag.x)
         self._fit = None
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
@@ -457,14 +461,43 @@ class KnnClassifierMeasure(NonconformityMeasure):
         groups = _label_columns(codes[n_old:], held)
         for cols in groups.values():
             _check_neighbours(k, bag.y[cols[0]], len(cols) - 1, len(bag) - len(cols))
-        # work in label order: the held examples by label, then the new ones
-        # by label, so that every block's rows share a label and its columns
-        # of that label are one run
+        bag_rows = _grown_rows(self._rows, bag, n_old)
+        near[n_old:] = np.inf
+        # a step whose new-to-held block fits one block merges in bag order;
+        # larger inputs, a fit from nothing included, in label order
+        if n_old and (len(bag) - n_old) * n_old <= _BLOCK_ENTRIES:
+            self._step(near, codes, bag, n_old, bag_rows)
+        else:
+            self._merge_by_label(near, codes, held, groups, bag, n_old)
+        self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
+        self._rows, self._fit = bag_rows, (near,)
+        num, den = _root_sums(near).T
+        return _ratio_scores(num, den)
+
+    def _step(self, near, codes, bag, n_old, bag_rows) -> None:
+        """Merge the distances of a few new examples into ``near`` in bag
+        order: each block is split into same-label and other-label
+        candidates by a label-code mask, then merged into its rows and,
+        through its transpose, into its columns."""
+        k = self.config.k
+        for rows, cols, sq, skip in _new_pairs(bag.x, n_old, (), bag_rows):
+            # (rows, side, cols): the same-label, then the other-label candidates
+            side = (codes[rows, None] == codes[None, cols])[:, None, :] == np.array([[True], [False]])
+            cand = np.where(side, sq[:, None, :], np.inf)
+            near[rows] = _merge_smallest(near[rows], [cand], k)
+            into = slice(cols.start + skip, cols.stop)
+            near[into] = _merge_smallest(near[into], [cand[:, :, skip:].transpose(2, 1, 0)], k)
+
+    def _merge_by_label(self, near, codes, held, groups, bag, n_old) -> None:
+        """Merge the distances of every new example into ``near`` in label
+        order: the held examples by label, then the new ones by label, so
+        that every block's rows share a label and its columns of that label
+        are one run.  A fit from nothing takes symmetric tiles."""
+        k = self.config.k
         order = np.concatenate([*held.values(), n_old + np.argsort(codes[n_old:], kind="stable")])
         old_sizes = np.array([len(held.get(code, ())) for code in groups], dtype=int)
         new_ends = n_old + np.cumsum(np.bincount(codes[n_old:], minlength=len(groups)))
         lists = near[order]
-        lists[n_old:] = np.inf
         for rows, cols, sq, skip in _new_pairs(bag.x[order], n_old, new_ends):
             code = np.searchsorted(new_ends, rows.start, side="right")
             if cols.stop <= n_old:  # the held examples
@@ -480,10 +513,6 @@ class KnnClassifierMeasure(NonconformityMeasure):
                 into = slice(cols.start + lo, cols.start + hi)
                 lists[into, side] = _merge_smallest(lists[into, side], [sq[:, lo:hi].T], k)
         near[order] = lists
-        self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
-        self._fit = (near,)
-        num, den = _root_sums(near).T
-        return _ratio_scores(num, den)
 
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
         return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
@@ -502,19 +531,24 @@ class KnnClassifierMeasure(NonconformityMeasure):
             n_same = len(self._groups.get(code, ()))
             _check_neighbours(k, lbl, n_same, len(bag) - n_same)
         out = np.empty((X.shape[0], len(label_space)))
-        bag_rows = _feature_rows(bag.x)
         for rows in _row_chunks(X.shape[0], len(bag)):
-            num, den = _neighbour_sums(k, _sq_dists_to(X[rows], bag_rows), self._groups, codes)
+            num, den = _neighbour_sums(k, _sq_dists_to(X[rows], self._rows), self._groups, codes)
             out[rows] = _ratio_scores(num, den)
         return out
 
 
-def _nearest_label_means(k: int, sq: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of squared distances: the mean label of the k nearest bag
-    examples (stable ties: lower index first) and the k-th smallest squared
-    distance.  Every caller averages a row with this code."""
-    order = np.argsort(sq, axis=1, kind="stable")[:, :k]
-    return labels[order].mean(axis=1), np.take_along_axis(sq, order[:, -1:], axis=1)[:, 0]
+def _k_nearest(k: int, sq: np.ndarray) -> np.ndarray:
+    """Per row of squared distances, the columns of the k nearest bag
+    examples, ordered by (distance, index) as a stable ``argsort`` orders
+    them."""
+    return np.argsort(sq, axis=1, kind="stable")[:, :k]
+
+
+def _label_means(labels: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Mean of the labels at ``order`` per row, added in that order: the sum
+    and division that ``.mean(axis=1)`` makes.  Every caller averages
+    neighbour labels with this code."""
+    return np.add.reduce(labels[order], axis=1) / order.shape[1]
 
 
 def knn_regression_coeffs(
@@ -534,7 +568,7 @@ def knn_regression_coeffs(
     sq = _pairwise_sq_dists(target.x, training.x)
     if is_training_bag:
         np.fill_diagonal(sq, np.inf)
-    means, _ = _nearest_label_means(k, sq, np.asarray(training.y, dtype=float))
+    means = _label_means(np.asarray(training.y, dtype=float), _k_nearest(k, sq))
     return np.asarray(target.y, dtype=float) - means, np.zeros(len(target))
 
 
@@ -544,25 +578,29 @@ def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tup
         raise ValueError(f"need k={cfg.k} neighbours, only {len(training)} available")
     x = check_observations(np.asarray(x, dtype=float)[None, :], training.n_features)
     sq = _pairwise_sq_dists(x, training.x)
-    means, _ = _nearest_label_means(cfg.k, sq, np.asarray(training.y, dtype=float))
+    means = _label_means(np.asarray(training.y, dtype=float), _k_nearest(cfg.k, sq))
     return -float(means[0]), 1.0
 
 
 class KnnRegressionProvider(RegressionCoefficientProvider):
     """Coefficient provider built on nearest-neighbour label averages.
 
-    ``extend`` keeps the coefficients of the bag it fits with each example's
-    k-th smallest squared distance, so the next ``extend``, when its bag
-    continues that one, recomputes a_i only for the examples a new example
-    comes strictly closer to than that, plus the new examples themselves
-    (the stable order puts the new, largest index after any ties).
+    ``extend`` keeps, for each example of the bag it fits, its coefficient
+    and its k nearest other examples, squared distances and indices ordered
+    by (distance, index).  The next ``extend``, when its bag continues that
+    one, computes only the new examples' distances.  A held example that a
+    new one comes strictly closer to than its k-th takes it into its list
+    (the new, larger index goes after any tie, as the stable order puts it)
+    and is averaged again; a tie changes nothing.
     """
 
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
         self._bag: Bag | None = None
-        # (a, kth) of the bag fitted by extend
-        self._fit: tuple[np.ndarray, np.ndarray] | None = None
+        self._rows = np.empty((0, 0))  # _feature_rows of the bag fitted by extend
+        # (a, labels, near, idx) of the bag fitted by extend: example i's k
+        # nearest others are idx[i], at squared distances near[i]
+        self._fit: tuple[np.ndarray, ...] | None = None
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
@@ -576,18 +614,33 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         n, k = len(bag), self.config.k
         if n - 1 < k:
             raise ValueError(f"need k={k} neighbours, only {n - 1} available")
-        n_old, (a, kth) = _resume(self._bag, self._fit, bag, (np.empty(0), np.empty(0)))
-        rows = _rows_to_compute(bag, n_old, kth[:n_old])
-        labels = np.asarray(bag.y, dtype=float)
-        bag_rows = _feature_rows(bag.x)
-        for chunk in _row_chunks(len(rows), n):
-            idx = rows[chunk]
-            sq = _sq_dists_to(bag.x[idx], bag_rows)
-            sq[np.arange(len(idx)), idx] = np.inf
-            means, kth[idx] = _nearest_label_means(k, sq, labels)
-            a[idx] = labels[idx] - means
-        self._bag = bag
-        self._fit = (a, kth)
+        empty = (np.empty(0), np.empty(0), np.empty((0, k)), np.empty((0, k), dtype=int))
+        n_old, (a, labels, near, idx) = _resume(self._bag, self._fit, bag, empty)
+        labels[n_old:] = bag.y[n_old:]
+        bag_rows = _grown_rows(self._rows, bag, n_old)
+        # a lone new example meets only the held ones: its own column, the
+        # last, at infinity, would sort after all of them
+        width = n if n - n_old > 1 else n_old
+        changed = [np.arange(n_old, n)]
+        for chunk in _row_chunks(n - n_old, n):
+            new = np.arange(n_old, n)[chunk]
+            sq = _sq_dists_to(bag.x[new], bag_rows[:, :width])
+            if width == n:
+                sq[np.arange(len(new)), new] = np.inf
+            hit = np.flatnonzero((sq[:, :n_old] < near[:n_old, -1]).any(axis=0))
+            if len(hit):
+                # the held lists before the new, larger indices: a stable
+                # sort keeps the (distance, index) order
+                cand = np.concatenate([near[hit], sq[:, hit].T], axis=1)
+                ids = np.concatenate([idx[hit], np.broadcast_to(new, (len(hit), len(new)))], axis=1)
+                pick, at = _k_nearest(k, cand), np.arange(len(hit))[:, None]
+                near[hit], idx[hit] = cand[at, pick], ids[at, pick]
+                changed.append(hit)
+            idx[new] = pick = _k_nearest(k, sq)
+            near[new] = sq[np.arange(len(new))[:, None], pick]
+        changed = np.concatenate(changed)
+        a[changed] = labels[changed] - _label_means(labels, idx[changed])
+        self._bag, self._rows, self._fit = bag, bag_rows, (a, labels, near, idx)
         return a.copy(), np.zeros(n)
 
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:

@@ -9,6 +9,8 @@ probability interval.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -16,7 +18,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .data import Bag, Label, check_labels_known, check_observations, require_trained
-from .ncm import _feature_rows, _new_pairs, _resume, _row_chunks, _sq_dists_to
+from .ncm import _feature_rows, _grown_rows, _new_pairs, _resume, _row_chunks, _sq_dists_to
 
 
 class VennTaxonomy(ABC):
@@ -73,16 +75,22 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     and squared distance, and merges the distances of each new example into
     them (``ncm._new_pairs``), so a step that continues the fitted bag
     computes only the new examples' distances, and a fit from nothing each
-    distance once.
+    distance once.  A step rewrites only the categories of the examples
+    whose nearest index changed and of the new ones.  The bag's feature
+    rows are held from the last ``train`` or ``extend`` for ``categories``.
     """
 
     def __init__(self):
         self._bag: Bag | None = None
-        # (nearest index, its squared distance) per example of the bag extend fitted
+        self._rows = np.empty((0, 0))  # _feature_rows of the bag
+        # (nearest index, its squared distance) per example of the bag extend
+        # fitted, and the category list extend returned
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
+        self._categories: list[Hashable] = []
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
+        self._rows = _feature_rows(bag.x)
         self._fit = None
 
     def category(self, x: np.ndarray, y: Label, contains_x: bool) -> Hashable:
@@ -96,7 +104,7 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
-        nearest, _ = _nearest(bag.x, X, np.asarray(contains_x, dtype=bool))
+        nearest, _ = _nearest(self._rows, X, np.asarray(contains_x, dtype=bool))
         return [
             list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
         ]
@@ -104,7 +112,8 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     def extend(self, bag: Bag) -> list[Hashable]:
         n_old, (nearest, dist) = _resume(self._bag, self._fit, bag, (np.empty(0, int), np.empty(0)))
         nearest[n_old:], dist[n_old:] = -1, np.inf
-        for rows, cols, sq, skip in _new_pairs(bag.x, n_old):
+        bag_rows = _grown_rows(self._rows, bag, n_old)
+        for rows, cols, sq, skip in _new_pairs(bag.x, n_old, (), bag_rows):
             _merge_nearest(nearest, dist, rows, cols, sq)
             _merge_nearest(nearest, dist, slice(cols.start + skip, cols.stop), rows, sq[:, skip:].T)
         # the merge skips each example itself, _nearest its first
@@ -117,9 +126,12 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         new = np.arange(n_old, len(bag))
         dup = new[(dist[n_old:] == 0) & (nearest[n_old:] < new)]
         nearest[dup] = nearest[nearest[dup]]
-        self._bag = bag
-        self._fit = (nearest, dist)
-        return [y if j < 0 else bag.y[j] for j, y in zip(nearest.tolist(), bag.y)]
+        categories = self._categories[:n_old] + [None] * len(new)
+        redo = new if n_old == 0 else np.append(np.flatnonzero(nearest[:n_old] != self._fit[0]), new)
+        for i, j in zip(redo.tolist(), nearest[redo].tolist()):
+            categories[i] = bag.y[i] if j < 0 else bag.y[j]
+        self._bag, self._rows, self._fit, self._categories = bag, bag_rows, (nearest, dist), categories
+        return list(categories)
 
 
 def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: slice, sq: np.ndarray) -> None:
@@ -133,8 +145,9 @@ def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: sli
     dist[rows.start + closer] = d[closer]
 
 
-def _nearest(bag_x: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each row's nearest bag observation and its squared distance.
+def _nearest(bag_rows: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each row's nearest bag observation, given the bag by its
+    feature rows, and its squared distance.
 
     A row with ``contains_x`` skips its first zero-distance occurrence; when
     that leaves no bag observation the index is -1 (fall back to the
@@ -142,8 +155,7 @@ def _nearest(bag_x: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tuple[
     """
     nearest = np.empty(len(X), dtype=int)
     dist = np.empty(len(X))
-    bag_rows = _feature_rows(bag_x)
-    for rows in _row_chunks(len(X), len(bag_x)):
+    for rows in _row_chunks(len(X), bag_rows.shape[1]):
         sq = _sq_dists_to(X[rows], bag_rows)
         contains = contains_x[rows]
         zero = sq == 0
@@ -200,7 +212,9 @@ class VennPredictor:
         self._bag: Bag | None = None
         self._categories: list[Hashable] | None = None
         # row c: label counts (label-space order) of the bag examples in the
-        # category with index c; the last row, all zeros, serves new categories
+        # category with index c; the last row, all zeros, serves new
+        # categories, and reads like the row of a category that lost all
+        # its examples
         self._category_index: dict[Hashable, int] = {}
         self._label_counts: np.ndarray | None = None
         self._observations: set[bytes] = set()
@@ -215,7 +229,9 @@ class VennPredictor:
 
         Without ``override`` the new examples are appended to the bag already
         held; with it they replace that bag.  Either way the taxonomy
-        categorises the bag through its ``extend`` hook.
+        categorises the bag through its ``extend`` hook.  When appending,
+        only the examples whose category changed, and the new ones, move
+        label counts.
         """
         fresh = override or self._bag is None
         merged = bag if fresh else self._bag.append(bag)
@@ -224,7 +240,21 @@ class VennPredictor:
         if len(merged.label_space) < 2:
             raise ValueError("the label space must hold at least two labels")
         categories = self.taxonomy.extend(merged)
-        index, counts = _label_count_table(categories, merged)
+        if fresh:
+            index, counts = _count_labels({}, np.zeros((1, 0)), merged.label_space, ([], []), (categories, merged.y))
+        else:
+            n_old, held, y = len(self._bag), self._categories, merged.y
+            # the held examples whose category changed; one list comparison
+            # when none did
+            moved = [] if held == categories[:n_old] else list(
+                itertools.compress(range(n_old), map(operator.ne, held, categories))
+            )
+            entering = moved + list(range(n_old, len(merged)))
+            index, counts = _count_labels(
+                self._category_index, self._label_counts, merged.label_space,
+                ([held[i] for i in moved], [y[i] for i in moved]),
+                ([categories[i] for i in entering], [y[i] for i in entering]),
+            )
         observations = set() if fresh else self._observations
         observations.update(_row_key(x) for x in bag.x)
         self._bag = merged
@@ -314,22 +344,26 @@ class VennPredictor:
         return counts / counts.sum(axis=2, keepdims=True)
 
 
-def _label_count_table(categories: list[Hashable], bag: Bag) -> tuple[dict, np.ndarray]:
-    """Index of every category and its label counts (label-space order),
-    plus a last all-zero row for unseen categories."""
-    n = len(bag)
-    index = {cat: c for c, cat in enumerate(dict.fromkeys(categories))}
-    label_index = {lbl: j for j, lbl in enumerate(bag.label_space)}
-    counts = np.zeros((len(index) + 1, len(label_index)))
-    np.add.at(
-        counts,
-        (
-            np.fromiter((index[c] for c in categories), dtype=int, count=n),
-            np.fromiter((label_index[y] for y in bag.y), dtype=int, count=n),
-        ),
-        1.0,
-    )
-    return index, counts
+def _count_labels(index: dict, counts: np.ndarray, label_space, leave, enter) -> tuple[dict, np.ndarray]:
+    """A new category index and label-count table from ``index`` and
+    ``counts``: one row per category, one column per label of
+    ``label_space`` (which extends the table's labels), and a last all-zero
+    row for unseen categories.  ``leave`` and ``enter`` are each a sequence
+    of categories and one of labels: every (category, label) pair of
+    ``leave`` takes one from its count and every one of ``enter`` adds one;
+    a category new to the index gets the next row."""
+    index = dict(index)
+    for cat in enter[0]:
+        index.setdefault(cat, len(index))
+    label_index = {lbl: j for j, lbl in enumerate(label_space)}
+    table = np.zeros((len(index) + 1, len(label_index)))
+    table[: len(counts) - 1, : counts.shape[1]] = counts[:-1]
+    for (cats, labels), weight in ((leave, -1.0), (enter, 1.0)):
+        if len(cats):
+            rows = np.fromiter(map(index.__getitem__, cats), dtype=int, count=len(cats))
+            cols = np.fromiter(map(label_index.__getitem__, labels), dtype=int, count=len(cats))
+            np.add.at(table, (rows, cols), weight)
+    return index, table
 
 
 def _row_key(x: np.ndarray) -> bytes:

@@ -1,4 +1,7 @@
+import copy
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,6 +93,42 @@ class TestBag:
     def test_append_rejects_mixed_kinds(self):
         with pytest.raises(ValueError, match="mix"):
             Bag.classification([[0.0]], ["A"]).append(Bag.regression([[1.0]], [1.0]))
+
+    @pytest.mark.parametrize("appended", [False, True])
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))])
+    def test_copies_are_checked_read_only_and_forget_their_prefix(self, clone, appended):
+        a = Bag.classification([[0.0, 1.0], [2.0, 3.0]], ["A", "B"])
+        bag = a.append(Bag.classification([[4.0, 5.0]], ["C"])) if appended else a
+        twin = clone(bag)
+        assert not twin.x.flags.writeable
+        with pytest.raises(ValueError):
+            twin.x[0, 0] = math.nan
+        assert twin.x.tobytes() == bag.x.tobytes()
+        assert (twin.y, twin.label_space) == (bag.y, bag.label_space)
+        assert twin._prefix is None
+        # a copy still starts with the bag it copies, found by comparison
+        assert twin.starts_with(a) and bag.starts_with(twin)
+
+    def test_starts_with(self, monkeypatch):
+        a = Bag.regression([[0.0], [1.0]], [0.5, 1.5])
+        b = Bag.regression([[2.0]], [2.5])
+        merged = a.append(b)
+        with monkeypatch.context() as patch:
+            # the bag itself and the bag it was appended to compare nothing
+            patch.setattr(np, "array_equal", None)
+            assert merged.starts_with(a) and merged.starts_with(merged)
+        assert merged.starts_with(Bag.regression([[0.0], [1.0]], [0.5, 1.5]))  # by value
+        assert not merged.starts_with(Bag.regression([[0.0], [1.0]], [0.5, 9.0]))
+        assert not merged.starts_with(Bag.regression([[0.0], [7.0]], [0.5, 1.5]))
+        assert not a.starts_with(merged)
+
+    def test_append_does_not_keep_the_extended_bag_alive(self):
+        a = Bag.regression([[0.0]], [0.5])
+        merged = a.append(Bag.regression([[1.0]], [1.5]))
+        del a
+        gc.collect()
+        assert merged._prefix() is None
+        assert merged.starts_with(Bag.regression([[0.0]], [0.5]))
 
     def test_subset_keeps_label_space(self):
         bag = Bag.classification([[0.0], [1.0], [2.0]], ["A", "B", "A"])

@@ -8,6 +8,8 @@ merged bag.  The bags sit on an integer grid, so they hold duplicate rows
 and many distance ties.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +29,7 @@ from conformal import (
     RrcmConfig,
     SeededRng,
     VennPredictor,
+    VennTaxonomy,
     knn_regression_coeffs,
     knn_score_per_label,
     knn_scores,
@@ -223,12 +226,8 @@ def test_property_fits_and_extends_equal_knn_scores(seed, k, n, chunks, block):
             lo += size
 
 
-@pytest.mark.parametrize("block", [4096, ncm._BLOCK_ENTRIES])
-@pytest.mark.parametrize("plug_in", ["measure", "taxonomy"])
-def test_fits_compute_each_distance_once(monkeypatch, block, plug_in):
-    # a fit from nothing passes n(n+1)/2 distances to the kernel, plus the
-    # lower triangles of its tiles (at most one tile); a one-row step then
-    # passes one 1 x n block
+def spy_on_kernel(monkeypatch):
+    """The entries of every distance block the kernel computes from now on."""
     entries = []
 
     def spy(a, b_rows):
@@ -237,6 +236,16 @@ def test_fits_compute_each_distance_once(monkeypatch, block, plug_in):
 
     sq_dists_to = ncm._sq_dists_to
     monkeypatch.setattr(ncm, "_sq_dists_to", spy)
+    return entries
+
+
+@pytest.mark.parametrize("block", [4096, ncm._BLOCK_ENTRIES])
+@pytest.mark.parametrize("plug_in", ["measure", "taxonomy"])
+def test_fits_compute_each_distance_once(monkeypatch, block, plug_in):
+    # a fit from nothing passes n(n+1)/2 distances to the kernel, plus the
+    # lower triangles of its tiles (at most one tile); a one-row step then
+    # passes one 1 x n block
+    entries = spy_on_kernel(monkeypatch)
     monkeypatch.setattr(ncm, "_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(121)
     n = 300
@@ -249,15 +258,38 @@ def test_fits_compute_each_distance_once(monkeypatch, block, plug_in):
     assert entries == [n]
 
 
+@pytest.mark.parametrize("block", [4096, ncm._BLOCK_ENTRIES])
+def test_provider_step_computes_the_new_row_once(monkeypatch, block):
+    # a one-row step passes the new row's distances to the held rows, and no
+    # more than one whole row for each of the c held examples whose k
+    # nearest it enters (strictly closer than their k-th)
+    monkeypatch.setattr(ncm, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(122)
+    n, k = 300, 3
+    bag = Bag.regression(rng.standard_normal((n + 1, 4)), rng.standard_normal(n + 1))
+    provider = KnnRegressionProvider(KnnConfig(k=k))
+    provider.extend(bag.subset(range(n)))
+    entries = spy_on_kernel(monkeypatch)
+    got = provider.extend(bag)
+    sq = ((bag.x[:, None, :] - bag.x[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(sq, np.inf)
+    c = int((sq[n, :n] < np.sort(sq[:n, :n], axis=1)[:, k - 1]).sum())
+    assert c == 3
+    assert sum(entries) <= n + c * (n + 1)
+    assert all(same_bits(u, v) for u, v in zip(got, KnnRegressionProvider(KnnConfig(k=k)).extend(bag)))
+
+
 class TestVenn:
+    taxonomy = NearestNeighborTaxonomy
+
     def check(self, start, stream, queries):
-        venn = VennPredictor(NearestNeighborTaxonomy()).train(start)
+        venn = VennPredictor(self.taxonomy()).train(start)
         merged = start
         for i in range(len(stream)):
             step = stream.subset([i])
             venn.train(step)
             merged = merged.append(step)
-            ref = VennPredictor(NearestNeighborTaxonomy()).train(merged)
+            ref = VennPredictor(self.taxonomy()).train(merged)
             assert venn._categories == ref._categories
             # extending by nothing keeps every category
             assert venn.taxonomy.extend(merged) == ref._categories
@@ -281,20 +313,20 @@ class TestVenn:
 
     def test_multi_row_appends_and_new_labels(self):
         bag = grid_bag(20, 57, labels=("A", "B"))
-        venn = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+        venn = VennPredictor(self.taxonomy()).train(bag)
         chunk = grid_bag(5, 58)  # brings label C into the label space
         venn.train(chunk)
         more = grid_stream(bag, 6, 59)
         venn.train(more)
-        ref = VennPredictor(NearestNeighborTaxonomy()).train(bag.append(chunk).append(more))
+        ref = VennPredictor(self.taxonomy()).train(bag.append(chunk).append(more))
         rows = np.vstack([grid_bag(6, 60).x, ref.bag.x])
         assert same_bits(venn._matrices(rows), ref._matrices(rows))
 
     def test_score_online_equals_retraining_loop(self):
         bag = grid_bag(25, 61)
         stream = grid_stream(bag, 20, 62)
-        online = VennPredictor(NearestNeighborTaxonomy()).train(bag).score_online(stream)
-        ref = VennPredictor(NearestNeighborTaxonomy()).train(bag)
+        online = VennPredictor(self.taxonomy()).train(bag).score_online(stream)
+        ref = VennPredictor(self.taxonomy()).train(bag)
         predictions, intervals = [], []
         for i in range(len(stream)):
             pred, interval = ref.predict(stream.x[i: i + 1])
@@ -303,6 +335,18 @@ class TestVenn:
             ref.train(ref.bag.append(stream.subset([i])), override=True)
         assert online.accuracy == sum(p == t for p, t in zip(predictions, stream.y)) / len(stream)
         assert online.mean_interval_width == sum(i.width for i in intervals) / len(stream)
+
+
+class RetrainingTaxonomy(NearestNeighborTaxonomy):
+    """The nearest-neighbour taxonomy through the default ``extend``, which
+    retrains and returns every category anew, so the Venn predictor finds
+    the examples whose category changed by comparing the lists."""
+
+    extend = VennTaxonomy.extend
+
+
+class TestVennRetrainingTaxonomy(TestVenn):
+    taxonomy = RetrainingTaxonomy
 
 
 def regression_grid(n, seed):
@@ -352,6 +396,53 @@ class TestRegression:
         for eps in EPSILONS:
             misses = sum(not p.contains(eps, y) for p, y in zip(predictions, stream.y))
             assert report.per_epsilon[eps].miss_rate == misses / len(stream)
+
+
+LINEAGE_PLUG_INS = {
+    "measure": (lambda: KnnClassifierMeasure(KnnConfig(k=2)), grid_bag),
+    "provider": (lambda: KnnRegressionProvider(KnnConfig(k=2)), regression_grid),
+    "taxonomy": (NearestNeighborTaxonomy, grid_bag),
+}
+
+
+def same_fit(a, b):
+    if isinstance(a, list):  # taxonomy categories
+        return a == b
+    if isinstance(a, tuple):  # provider coefficients
+        return all(same_bits(u, v) for u, v in zip(a, b))
+    return same_bits(a, b)
+
+
+@pytest.mark.parametrize("continuation", ["branch", "unpickled", "by value", "held bag"])
+@pytest.mark.parametrize("plug_in", LINEAGE_PLUG_INS)
+def test_continuations_equal_fresh_fits(monkeypatch, plug_in, continuation):
+    # extend resumes in O(1) on a bag appended to exactly the one it holds;
+    # on any other bag it compares the examples, so a branch from a shared
+    # prefix refits, and a copy that lost its lineage (unpickled, rebuilt
+    # by value) still resumes
+    make, data = LINEAGE_PLUG_INS[plug_in]
+    held, more = data(40, 131), data(3, 132)
+    fit = make()
+    fit.extend(held)
+    if continuation == "branch":
+        fit.extend(held.append(more))
+        bag = held.append(data(2, 133))
+    elif continuation == "unpickled":
+        bag = pickle.loads(pickle.dumps(held.append(more)))
+        assert bag._prefix is None
+    elif continuation == "by value":
+        merged = held.append(more)
+        bag = Bag(np.array(merged.x), merged.y, merged.label_space)
+    else:
+        bag = held
+    entries = spy_on_kernel(monkeypatch)
+    got = fit.extend(bag)
+    resumed = sum(entries) < len(bag) * (len(bag) + 1) // 2
+    assert resumed == (continuation != "branch")
+    assert same_fit(got, make().extend(bag))
+    # and the next step on top of it still matches a fresh fit
+    step = bag.append(data(1, 134))
+    assert same_fit(fit.extend(step), make().extend(step))
 
 
 class TestOverrideOnContinuingBag:
