@@ -24,8 +24,9 @@ from .ncm import (
     KnnClassifierMeasure,
     KnnConfig,
     KnnRegressionProvider,
-    _pairwise_sq_dists,
+    _feature_rows,
     _row_chunks,
+    _sq_dists_to,
     cart_train,
 )
 from .regression import ConformalRegressor, RrcmConfig
@@ -193,17 +194,18 @@ class _KnnBase:
         self.k = config.k
 
     def fit(self, x, y):
-        self._x = np.asarray(x, dtype=float)
+        self._rows = _feature_rows(x)
         self._labels = sorted(set(y))  # code order, so argmax breaks vote ties
         code_of = {lbl: c for c, lbl in enumerate(self._labels)}
         self._codes = np.array([code_of[lbl] for lbl in y], dtype=int)
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
-        k, n_labels = min(self.k, len(self._x)), len(self._labels)
+        n = self._rows.shape[1]
+        k, n_labels = min(self.k, n), len(self._labels)
         votes = np.empty((len(x), n_labels), dtype=int)
-        for chunk in _row_chunks(len(x), len(self._x)):
-            sq = _pairwise_sq_dists(x[chunk], self._x)
+        for chunk in _row_chunks(len(x), n):
+            sq = _sq_dists_to(x[chunk], self._rows)
             kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
             # every row closer than the k-th distance, then the lowest-index
             # rows at that distance until k are chosen; the vote ignores order

@@ -56,12 +56,13 @@ class Bag:
     Bags are immutable after construction and safe to share across threads.
 
     A bag made by :meth:`append` remembers, through a weak reference, the
-    bag it extended, so :meth:`starts_with` answers for that bag in O(1);
-    a copy or an unpickled bag is checked again as a new bag, read-only,
-    and remembers nothing.
+    bag it extended, so :meth:`starts_with` answers for that bag in O(1)
+    and :attr:`feature_rows` extends that bag's rows; a copy or an
+    unpickled bag is checked again as a new bag, read-only, and remembers
+    nothing.
     """
 
-    __slots__ = ("x", "y", "label_space", "_prefix", "__weakref__")
+    __slots__ = ("x", "y", "label_space", "_prefix", "_rows", "__weakref__")
 
     def __init__(self, x, y, label_space: Sequence[Label] = ()):
         x = np.array(x, dtype=float)
@@ -89,7 +90,7 @@ class Bag:
         self.x = x
         self.y = y
         self.label_space = label_space
-        self._prefix = None
+        self._prefix = self._rows = None
 
     def __reduce__(self):
         return Bag, (self.x, self.y, self.label_space)
@@ -143,8 +144,23 @@ class Bag:
         merged.x.setflags(write=False)
         merged.y = self.y + other.y
         merged.label_space = space
-        merged._prefix = weakref.ref(self)
+        merged._prefix, merged._rows = weakref.ref(self), None
         return merged
+
+    @property
+    def feature_rows(self) -> np.ndarray:
+        """The observations as one contiguous, read-only row per feature, the
+        layout the distance kernel reads; computed on first use and kept.  A
+        bag appended to one that holds them extends that bag's rows."""
+        if self._rows is None:
+            prefix = self._prefix and self._prefix()
+            if prefix is not None and prefix._rows is not None:
+                rows = np.concatenate([prefix._rows, self.x[len(prefix):].T], axis=1)
+            else:
+                rows = self.x.T.copy()
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
 
     def starts_with(self, other: "Bag") -> bool:
         """Whether the first examples of this bag are exactly those of

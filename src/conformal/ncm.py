@@ -105,6 +105,16 @@ _BLOCK_ENTRIES = 1 << 16
 #: single block would push out of cache, keep the per-feature loop.
 _REDUCE_ENTRIES = 1 << 15
 
+#: Most new-to-held distances (new rows x held rows) of a step that
+#: ``KnnClassifierMeasure.extend`` merges in bag order by a label-code mask;
+#: larger steps, and every fit from nothing, merge in label order.  Measured
+#: on 16 features, k = 1 and 3, 300-3,000 held rows (2-vCPU Xeon, numpy
+#: 2.4.6): the mask merge takes 0.4-0.7x the time of the label-order merge
+#: up to 2^14 distances and 0.8-0.9x at 64,000, 1.0-1.4x at 77,000-96,000
+#: and 1.1-1.8x from 128,000; on fits from nothing of 1,000-4,000 rows,
+#: 1.3-1.7x.
+_STEP_ENTRIES = 1 << 16
+
 #: Ufunc buffer size (elements) set around the per-feature loop.  With
 #: numpy's default of 8192, a broadcast subtract against a bag of fewer than
 #: about 2731 rows is buffered across rows, about 4x slower per entry.
@@ -128,16 +138,9 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _feature_rows(b: np.ndarray) -> np.ndarray:
     """The bag side of :func:`_sq_dists_to`: one contiguous row per feature,
-    so that each pass over a feature reads the bag sequentially."""
+    so that each pass over a feature reads the bag sequentially (a bag
+    holds its own as ``Bag.feature_rows``)."""
     return np.asarray(b, dtype=float).T.copy()
-
-
-def _grown_rows(rows: np.ndarray, bag: Bag, n_old: int) -> np.ndarray:
-    """The :func:`_feature_rows` of ``bag``, given ``rows``, those of its
-    first ``n_old`` examples (all of them when ``n_old`` is ``len(bag)``)."""
-    if n_old == 0:
-        return _feature_rows(bag.x)
-    return rows if n_old == len(bag) else np.concatenate([rows, bag.x[n_old:].T], axis=1)
 
 
 def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
@@ -280,16 +283,15 @@ def _resume(held: Bag | None, fit, bag: Bag, empty) -> tuple:
     return n, tuple(np.concatenate([f, np.empty((new,) + f.shape[1:], f.dtype)]) for f in fit)
 
 
-def _new_pairs(x: np.ndarray, n_old: int, stops=(), bag_rows=None):
-    """The squared distances of every pair of rows of ``x`` that holds a new
-    row (index ``n_old`` or above), each computed once, as blocks ``(rows,
-    cols, sq, skip)``: ``sq`` holds the distances of the rows in slice
-    ``rows`` to those in slice ``cols``.  A consumer merges a block into its
-    rows, and through its transpose into the columns from ``cols.start +
-    skip`` on; the columns before those are the block's own rows, whose
-    diagonal is infinity.  No block's rows cross a position in ``stops``.
-    ``bag_rows`` are the :func:`_feature_rows` of ``x`` when the caller
-    holds them.
+def _new_pairs(bag: Bag, n_old: int, order=None, stops=()):
+    """The squared distances of every pair of examples of ``bag`` (taken in
+    ``order`` when given) that holds a new one (position ``n_old`` or
+    above), each computed once, as blocks ``(rows, cols, sq, skip)``: ``sq``
+    holds the distances of the positions in slice ``rows`` to those in slice
+    ``cols``.  A consumer merges a block into its rows, and through its
+    transpose into the columns from ``cols.start + skip`` on; the columns
+    before those are the block's own rows, whose diagonal is infinity.  No
+    block's rows cross a position in ``stops``.
 
     The new rows meet the old ones in row chunks, then each other in
     symmetric tiles: row chunks whose columns start at the chunk's first
@@ -300,8 +302,10 @@ def _new_pairs(x: np.ndarray, n_old: int, stops=(), bag_rows=None):
     row meets the columns of its blocks in ascending order, so a merge that
     keeps the first of equal candidates keeps the lowest index.
     """
+    x, bag_rows = bag.x, bag.feature_rows
+    if order is not None:
+        x, bag_rows = x[order], bag_rows[:, order]
     n = len(x)
-    bag_rows = _feature_rows(x) if bag_rows is None else bag_rows
     bounds = sorted({n_old, n, *(int(s) for s in stops if n_old < s < n)})
     parts = list(zip(bounds, bounds[1:]))
     if n_old:
@@ -365,10 +369,9 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     codes, code_of = _label_codes(training.y)
     groups = _label_columns(codes)
     target_codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
-    bag_rows = _feature_rows(training.x)
     out = np.empty(len(target))
     for rows in _row_chunks(len(target), len(training)):
-        sq = _sq_dists_to(target.x[rows], bag_rows)
+        sq = _sq_dists_to(target.x[rows], training.feature_rows)
         row_codes = target_codes[rows]
         has_own = np.zeros(len(sq), dtype=bool)
         if is_training_bag:
@@ -418,8 +421,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
     and other-label squared distances (O(n·k) floats).  It merges the
     distances of each new example into them (:func:`_new_pairs`), so a step
     that continues the fitted bag computes only the new examples' distances,
-    and a fit from nothing each distance once.  The bag's feature rows are
-    held from the last ``train`` or ``extend`` for ``score_matrix``.
+    and a fit from nothing each distance once.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -428,7 +430,6 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._codes = np.empty(0, dtype=int)
         self._code_of: dict = {}
         self._groups: dict = {}  # _label_columns of _codes
-        self._rows = np.empty((0, 0))  # _feature_rows of the bag
         # (near,) of the bag fitted by extend: near[i, 0] and near[i, 1] are
         # the sorted k smallest same-label and other-label squared distances
         # of example i to the other examples
@@ -438,7 +439,6 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._bag = bag
         self._codes, self._code_of = _label_codes(bag.y)
         self._groups = _label_columns(self._codes)
-        self._rows = _feature_rows(bag.x)
         self._fit = None
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
@@ -461,26 +461,23 @@ class KnnClassifierMeasure(NonconformityMeasure):
         groups = _label_columns(codes[n_old:], held)
         for cols in groups.values():
             _check_neighbours(k, bag.y[cols[0]], len(cols) - 1, len(bag) - len(cols))
-        bag_rows = _grown_rows(self._rows, bag, n_old)
         near[n_old:] = np.inf
-        # a step whose new-to-held block fits one block merges in bag order;
-        # larger inputs, a fit from nothing included, in label order
-        if n_old and (len(bag) - n_old) * n_old <= _BLOCK_ENTRIES:
-            self._step(near, codes, bag, n_old, bag_rows)
+        if n_old and (len(bag) - n_old) * n_old <= _STEP_ENTRIES:
+            self._step(near, codes, bag, n_old)
         else:
             self._merge_by_label(near, codes, held, groups, bag, n_old)
         self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
-        self._rows, self._fit = bag_rows, (near,)
+        self._fit = (near,)
         num, den = _root_sums(near).T
         return _ratio_scores(num, den)
 
-    def _step(self, near, codes, bag, n_old, bag_rows) -> None:
+    def _step(self, near, codes, bag, n_old) -> None:
         """Merge the distances of a few new examples into ``near`` in bag
         order: each block is split into same-label and other-label
         candidates by a label-code mask, then merged into its rows and,
         through its transpose, into its columns."""
         k = self.config.k
-        for rows, cols, sq, skip in _new_pairs(bag.x, n_old, (), bag_rows):
+        for rows, cols, sq, skip in _new_pairs(bag, n_old):
             # (rows, side, cols): the same-label, then the other-label candidates
             side = (codes[rows, None] == codes[None, cols])[:, None, :] == np.array([[True], [False]])
             cand = np.where(side, sq[:, None, :], np.inf)
@@ -498,7 +495,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         old_sizes = np.array([len(held.get(code, ())) for code in groups], dtype=int)
         new_ends = n_old + np.cumsum(np.bincount(codes[n_old:], minlength=len(groups)))
         lists = near[order]
-        for rows, cols, sq, skip in _new_pairs(bag.x[order], n_old, new_ends):
+        for rows, cols, sq, skip in _new_pairs(bag, n_old, order, new_ends):
             code = np.searchsorted(new_ends, rows.start, side="right")
             if cols.stop <= n_old:  # the held examples
                 end = old_sizes[: code + 1].sum()
@@ -532,7 +529,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
             _check_neighbours(k, lbl, n_same, len(bag) - n_same)
         out = np.empty((X.shape[0], len(label_space)))
         for rows in _row_chunks(X.shape[0], len(bag)):
-            num, den = _neighbour_sums(k, _sq_dists_to(X[rows], self._rows), self._groups, codes)
+            num, den = _neighbour_sums(k, _sq_dists_to(X[rows], bag.feature_rows), self._groups, codes)
             out[rows] = _ratio_scores(num, den)
         return out
 
@@ -565,7 +562,7 @@ def knn_regression_coeffs(
         raise ValueError(f"need k={k} neighbours, only {available} available")
     if is_training_bag and len(target) != len(training):
         raise ValueError("is_training_bag requires the target to be the training bag itself")
-    sq = _pairwise_sq_dists(target.x, training.x)
+    sq = _sq_dists_to(target.x, training.feature_rows)
     if is_training_bag:
         np.fill_diagonal(sq, np.inf)
     means = _label_means(np.asarray(training.y, dtype=float), _k_nearest(k, sq))
@@ -577,7 +574,7 @@ def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tup
     if len(training) < cfg.k:
         raise ValueError(f"need k={cfg.k} neighbours, only {len(training)} available")
     x = check_observations(np.asarray(x, dtype=float)[None, :], training.n_features)
-    sq = _pairwise_sq_dists(x, training.x)
+    sq = _sq_dists_to(x, training.feature_rows)
     means = _label_means(np.asarray(training.y, dtype=float), _k_nearest(cfg.k, sq))
     return -float(means[0]), 1.0
 
@@ -597,7 +594,6 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
         self._bag: Bag | None = None
-        self._rows = np.empty((0, 0))  # _feature_rows of the bag fitted by extend
         # (a, labels, near, idx) of the bag fitted by extend: example i's k
         # nearest others are idx[i], at squared distances near[i]
         self._fit: tuple[np.ndarray, ...] | None = None
@@ -617,14 +613,13 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         empty = (np.empty(0), np.empty(0), np.empty((0, k)), np.empty((0, k), dtype=int))
         n_old, (a, labels, near, idx) = _resume(self._bag, self._fit, bag, empty)
         labels[n_old:] = bag.y[n_old:]
-        bag_rows = _grown_rows(self._rows, bag, n_old)
         # a lone new example meets only the held ones: its own column, the
         # last, at infinity, would sort after all of them
         width = n if n - n_old > 1 else n_old
         changed = [np.arange(n_old, n)]
         for chunk in _row_chunks(n - n_old, n):
             new = np.arange(n_old, n)[chunk]
-            sq = _sq_dists_to(bag.x[new], bag_rows[:, :width])
+            sq = _sq_dists_to(bag.x[new], bag.feature_rows[:, :width])
             if width == n:
                 sq[np.arange(len(new)), new] = np.inf
             hit = np.flatnonzero((sq[:, :n_old] < near[:n_old, -1]).any(axis=0))
@@ -640,7 +635,7 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
             near[new] = sq[np.arange(len(new))[:, None], pick]
         changed = np.concatenate(changed)
         a[changed] = labels[changed] - _label_means(labels, idx[changed])
-        self._bag, self._rows, self._fit = bag, bag_rows, (a, labels, near, idx)
+        self._bag, self._fit = bag, (a, labels, near, idx)
         return a.copy(), np.zeros(n)
 
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .data import Bag, Label, check_labels_known, check_observations, require_trained
-from .ncm import _feature_rows, _grown_rows, _new_pairs, _resume, _row_chunks, _sq_dists_to
+from .ncm import _new_pairs, _resume, _row_chunks, _sq_dists_to
 
 
 class VennTaxonomy(ABC):
@@ -76,13 +76,11 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     them (``ncm._new_pairs``), so a step that continues the fitted bag
     computes only the new examples' distances, and a fit from nothing each
     distance once.  A step rewrites only the categories of the examples
-    whose nearest index changed and of the new ones.  The bag's feature
-    rows are held from the last ``train`` or ``extend`` for ``categories``.
+    whose nearest index changed and of the new ones.
     """
 
     def __init__(self):
         self._bag: Bag | None = None
-        self._rows = np.empty((0, 0))  # _feature_rows of the bag
         # (nearest index, its squared distance) per example of the bag extend
         # fitted, and the category list extend returned
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
@@ -90,7 +88,6 @@ class NearestNeighborTaxonomy(VennTaxonomy):
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
-        self._rows = _feature_rows(bag.x)
         self._fit = None
 
     def category(self, x: np.ndarray, y: Label, contains_x: bool) -> Hashable:
@@ -104,7 +101,7 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
-        nearest, _ = _nearest(self._rows, X, np.asarray(contains_x, dtype=bool))
+        nearest, _ = _nearest(bag, X, np.asarray(contains_x, dtype=bool))
         return [
             list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
         ]
@@ -112,8 +109,7 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     def extend(self, bag: Bag) -> list[Hashable]:
         n_old, (nearest, dist) = _resume(self._bag, self._fit, bag, (np.empty(0, int), np.empty(0)))
         nearest[n_old:], dist[n_old:] = -1, np.inf
-        bag_rows = _grown_rows(self._rows, bag, n_old)
-        for rows, cols, sq, skip in _new_pairs(bag.x, n_old, (), bag_rows):
+        for rows, cols, sq, skip in _new_pairs(bag, n_old):
             _merge_nearest(nearest, dist, rows, cols, sq)
             _merge_nearest(nearest, dist, slice(cols.start + skip, cols.stop), rows, sq[:, skip:].T)
         # the merge skips each example itself, _nearest its first
@@ -130,7 +126,7 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         redo = new if n_old == 0 else np.append(np.flatnonzero(nearest[:n_old] != self._fit[0]), new)
         for i, j in zip(redo.tolist(), nearest[redo].tolist()):
             categories[i] = bag.y[i] if j < 0 else bag.y[j]
-        self._bag, self._rows, self._fit, self._categories = bag, bag_rows, (nearest, dist), categories
+        self._bag, self._fit, self._categories = bag, (nearest, dist), categories
         return list(categories)
 
 
@@ -145,9 +141,8 @@ def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: sli
     dist[rows.start + closer] = d[closer]
 
 
-def _nearest(bag_rows: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each row's nearest bag observation, given the bag by its
-    feature rows, and its squared distance.
+def _nearest(bag: Bag, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each row's nearest bag observation and its squared distance.
 
     A row with ``contains_x`` skips its first zero-distance occurrence; when
     that leaves no bag observation the index is -1 (fall back to the
@@ -155,8 +150,8 @@ def _nearest(bag_rows: np.ndarray, X: np.ndarray, contains_x: np.ndarray) -> tup
     """
     nearest = np.empty(len(X), dtype=int)
     dist = np.empty(len(X))
-    for rows in _row_chunks(len(X), bag_rows.shape[1]):
-        sq = _sq_dists_to(X[rows], bag_rows)
+    for rows in _row_chunks(len(X), len(bag)):
+        sq = _sq_dists_to(X[rows], bag.feature_rows)
         contains = contains_x[rows]
         zero = sq == 0
         own = contains & zero.any(axis=1)

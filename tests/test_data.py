@@ -99,7 +99,9 @@ class TestBag:
     def test_copies_are_checked_read_only_and_forget_their_prefix(self, clone, appended):
         a = Bag.classification([[0.0, 1.0], [2.0, 3.0]], ["A", "B"])
         bag = a.append(Bag.classification([[4.0, 5.0]], ["C"])) if appended else a
+        bag.feature_rows
         twin = clone(bag)
+        assert twin._rows is None
         assert not twin.x.flags.writeable
         with pytest.raises(ValueError):
             twin.x[0, 0] = math.nan
@@ -121,6 +123,23 @@ class TestBag:
         assert not merged.starts_with(Bag.regression([[0.0], [1.0]], [0.5, 9.0]))
         assert not merged.starts_with(Bag.regression([[0.0], [7.0]], [0.5, 1.5]))
         assert not a.starts_with(merged)
+
+    def test_feature_rows(self):
+        a = Bag.regression([[0.0, 1.0], [2.0, 3.0]], [0.5, 1.5])
+        b = Bag.regression([[4.0, 5.0]], [2.5])
+        cold = a.append(b)
+        cold.feature_rows  # a holds no rows yet: transposed afresh
+        rows = a.feature_rows
+        assert a.feature_rows is rows  # kept
+        warm = a.append(b)
+        warm.feature_rows  # extends a's rows
+        for bag in (a, cold, warm):
+            got = bag.feature_rows
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == np.ascontiguousarray(bag.x.T).tobytes()
+        # a marker in a's rows shows that an append extends them
+        a._rows = np.full_like(rows, 7.0)
+        assert a.append(b).feature_rows.tolist() == [[7.0, 7.0, 4.0], [7.0, 7.0, 5.0]]
 
     def test_append_does_not_keep_the_extended_bag_alive(self):
         a = Bag.regression([[0.0]], [0.5])

@@ -211,10 +211,12 @@ def test_property_fits_and_extends_equal_knn_scores(seed, k, n, chunks, block):
     # a fit from nothing, extends by chunks and knn_scores give the same
     # bits, up to k = 8 (n >= 27 leaves every label of a three-label grid
     # at least 9 rows); a small block budget makes many tiles and row chunks
+    # and sends the steps above it to the label-order merge
     bag = grid_bag(n, seed)
     stream = grid_stream(bag, sum(chunks), seed + 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ncm, "_BLOCK_ENTRIES", block)
+        patch.setattr(ncm, "_STEP_ENTRIES", block)
         measure = KnnClassifierMeasure(KnnConfig(k=k))
         measure.extend(bag)
         merged, lo = bag, 0
