@@ -151,7 +151,9 @@ class Bag:
     def feature_rows(self) -> np.ndarray:
         """The observations as one contiguous, read-only row per feature, the
         layout the distance kernel reads; computed on first use and kept.  A
-        bag appended to one that holds them extends that bag's rows."""
+        bag appended to one that holds them extends that bag's rows.  Threads
+        that reach a bag's first use at once may each compute them; the
+        copies are equal, and either is kept."""
         if self._rows is None:
             prefix = self._prefix and self._prefix()
             if prefix is not None and prefix._rows is not None:

@@ -304,7 +304,8 @@ def _new_pairs(bag: Bag, n_old: int, order=None, stops=()):
     """
     x, bag_rows = bag.x, bag.feature_rows
     if order is not None:
-        x, bag_rows = x[order], bag_rows[:, order]
+        # np.take keeps the rows C-ordered (bag_rows[:, order] is F-ordered)
+        x, bag_rows = x[order], np.take(bag_rows, order, axis=1)
     n = len(x)
     bounds = sorted({n_old, n, *(int(s) for s in stops if n_old < s < n)})
     parts = list(zip(bounds, bounds[1:]))

@@ -229,10 +229,13 @@ def test_property_fits_and_extends_equal_knn_scores(seed, k, n, chunks, block):
 
 
 def spy_on_kernel(monkeypatch):
-    """The entries of every distance block the kernel computes from now on."""
+    """The entries of every distance block the kernel computes from now on;
+    each bag side must keep its feature rows contiguous, as the kernel's
+    per-feature passes read them (a strided row is several times slower)."""
     entries = []
 
     def spy(a, b_rows):
+        assert b_rows.strides[1] == b_rows.itemsize
         entries.append(len(a) * b_rows.shape[1])
         return sq_dists_to(a, b_rows)
 

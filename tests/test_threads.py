@@ -91,6 +91,18 @@ def test_venn_predict_concurrently():
         assert row == serial
 
 
+def test_feature_rows_of_a_fresh_bag_concurrently():
+    # a bag computes its feature rows on first use (afresh, or from the rows
+    # of the bag it was appended to), so threads that reach it at once may
+    # each compute them; every read gives the same rows
+    base = gaussian_blobs(2000, seed=80)
+    base.feature_rows
+    for bag in (gaussian_blobs(2000, seed=81), base.append(gaussian_blobs(5, seed=82))):
+        want = np.ascontiguousarray(bag.x.T)
+        for row in run_concurrently(lambda i: bag.feature_rows):
+            assert all(np.array_equal(got, want) for got in row)
+
+
 def test_large_batches_concurrently():
     # 40 rows x 2 features x 1000 bag rows is past the single-reduce bound
     bag = gaussian_blobs(1000, seed=90)
