@@ -86,8 +86,7 @@ class Bag:
             y = tuple(float(v) for v in y)
             if y and not all(math.isfinite(v) for v in y):
                 raise ValueError("regression labels must be finite reals")
-        x.setflags(write=False)
-        self.x = x
+        self.x = _read_only(x)
         self.y = y
         self.label_space = label_space
         self._prefix = self._rows = None
@@ -140,8 +139,7 @@ class Bag:
             raise ValueError("feature arity mismatch")
         space = self.label_space + tuple(sorted(set(other.label_space) - set(self.label_space)))
         merged = Bag.__new__(Bag)
-        merged.x = np.vstack([self.x, other.x])
-        merged.x.setflags(write=False)
+        merged.x = _read_only(np.vstack([self.x, other.x]))
         merged.y = self.y + other.y
         merged.label_space = space
         merged._prefix, merged._rows = weakref.ref(self), None
@@ -160,8 +158,7 @@ class Bag:
                 rows = np.concatenate([prefix._rows, self.x[len(prefix):].T], axis=1)
             else:
                 rows = self.x.T.copy()
-            rows.setflags(write=False)
-            self._rows = rows
+            self._rows = _read_only(rows)
         return self._rows
 
     def starts_with(self, other: "Bag") -> bool:
@@ -172,6 +169,13 @@ class Bag:
             return True
         n = len(other)
         return n <= len(self) and other.y == self.y[:n] and np.array_equal(other.x, self.x[:n])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, an array no one else holds: numpy refuses
+    to make a view of a read-only array writeable again."""
+    a.setflags(write=False)
+    return a.view()
 
 
 def check_observations(X, n_features: int) -> np.ndarray:

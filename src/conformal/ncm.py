@@ -570,13 +570,17 @@ def knn_regression_coeffs(
     return np.asarray(target.y, dtype=float) - means, np.zeros(len(target))
 
 
-def knn_regression_coeffs_n(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tuple[float, float]:
-    """Coefficients for a new observation: a = -mean(k nearest labels), b = 1."""
+def knn_regression_coeffs_n(
+    cfg: KnnConfig, training: Bag, x: np.ndarray, labels: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Coefficients for a new observation: a = -mean(k nearest labels), b = 1.
+    ``labels`` are the training labels as floats, when the caller holds them."""
     if len(training) < cfg.k:
         raise ValueError(f"need k={cfg.k} neighbours, only {len(training)} available")
     x = check_observations(np.asarray(x, dtype=float)[None, :], training.n_features)
     sq = _sq_dists_to(x, training.feature_rows)
-    means = _label_means(np.asarray(training.y, dtype=float), _k_nearest(cfg.k, sq))
+    labels = np.asarray(training.y, dtype=float) if labels is None else labels
+    means = _label_means(labels, _k_nearest(cfg.k, sq))
     return -float(means[0]), 1.0
 
 
@@ -640,7 +644,8 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         return a.copy(), np.zeros(n)
 
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:
-        return knn_regression_coeffs_n(self.config, require_trained(self._bag, "provider"), x)
+        labels = None if self._fit is None else self._fit[1]  # the bag's labels, from extend
+        return knn_regression_coeffs_n(self.config, require_trained(self._bag, "provider"), x, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,25 @@
 Each stored example's score is a function of the candidate label y.  The set
 of y where example i stays at least as nonconforming as the new example is
 an interval, a point, a ray, two rays, the whole line, or empty.
-``prediction_intervals`` finds every stored line's region at once with
-numpy case masks, sorts the finite region endpoints into breakpoints and
-turns the regions' endpoint deltas into a coverage count for every open
-stretch and every breakpoint with one ``cumsum`` (the sort dominates at
-O(n log n)), instead of testing every stretch against every region
-directly.  The qualifying stretches and breakpoints are merged into
-intervals by their runs.  ``score_region`` is the scalar form of one
-line's region and the reference the tests compare against.  Both raise
-``ValueError`` when a root overflows.
+``prediction_intervals`` takes one of two paths, chosen from the lines:
+
+* When every stored line is flat (b = 0, as the kNN provider gives) and the
+  new line has b > 0, every region is an interval whose ends move
+  monotonically with |a_i|, so the regions are nested.  The level set is
+  then the region of one order statistic of |a|, and one ``np.partition``
+  selects it for every level at once, in O(n).
+* Otherwise (a sloped stored line, as a ridge provider gives, or a flat new
+  line) every stored line's region is found at once with numpy case masks,
+  the finite region endpoints are sorted into breakpoints and the regions'
+  endpoint deltas become a coverage count for every open stretch and every
+  breakpoint with one ``cumsum`` (the sort dominates at O(n log n)).  The
+  qualifying stretches and breakpoints are merged into intervals by their
+  runs.
+
+Both paths evaluate a root with the float expressions of ``score_region``,
+so they agree bit for bit where both apply.  ``score_region`` is the scalar
+form of one line's region and the reference the tests compare against.
+All raise ``ValueError`` when a root overflows.
 """
 
 from __future__ import annotations
@@ -82,6 +92,26 @@ def score_region(line_i: ScoreLine, line_new: ScoreLine) -> Region:
             raise ValueError(_OVERFLOW)
         return ((u, INF),) if an < ai else ((-INF, u),)
     return FULL_LINE if abs(an) <= abs(ai) else EMPTY
+
+
+def _nested_intervals(abs_a: np.ndarray, line_new: ScoreLine, eps) -> dict[float, Region]:
+    """Level sets when every stored line is flat (b = 0) and the new line's b > 0.
+
+    Line i's region is then [-fl(|a_i| + a_new), fl(|a_i| - a_new)] / b_new
+    (the sign of a_i only swaps the two roots), and each end is monotone in
+    |a_i| under rounding, so the regions are nested.  A point lies in at
+    least t of them exactly when it lies in the region of the t-th largest
+    |a_i|; with the candidate's own region it qualifies at level e when
+    t = floor(e * (n + 1)), which is at most n for e < 1 (the narrowest
+    region is never empty).  ``score_region`` gives the selected regions,
+    and the widest one too: a root that overflows anywhere overflows there.
+    """
+    n = len(abs_a)
+    need = {e: math.floor(e * (n + 1)) for e in eps}
+    kth = sorted({n - t for t in need.values() if t > 0} | {n - 1})
+    picked = np.partition(abs_a, kth)[kth].tolist() if n else []
+    at = {rank: score_region(ScoreLine(a, 0.0), line_new) for rank, a in zip(kth, picked)}
+    return {e: at[n - t] if t > 0 else FULL_LINE for e, t in need.items()}
 
 
 def _coverage_counts(
@@ -184,10 +214,21 @@ def prediction_intervals(
     eps * (n + 1).  With ``convex_hull`` the union is replaced by its
     envelope, trading possible holes for a single interval.  ``lines`` is a
     sequence of sign-normalized lines or an (n, 2) array of their (a, b).
+    Flat stored lines (all b = 0) against a new line with b > 0 give nested
+    regions, which one selection answers; any other lines are swept.
     """
     eps = check_epsilons(epsilons)
     store = np.asarray(lines, dtype=float).reshape(len(lines), 2)
     a_new, b_new = map(float, line_new)
+    if b_new > 0 and not store[:, 1].any():  # flat stored lines: nested regions
+        return PredictionIntervals(_nested_intervals(np.abs(store[:, 0]), ScoreLine(a_new, b_new), eps))
+    return PredictionIntervals(_swept_intervals(store, a_new, b_new, eps, convex_hull))
+
+
+def _swept_intervals(
+    store: np.ndarray, a_new: float, b_new: float, eps, convex_hull: bool
+) -> dict[float, Region]:
+    """Level sets of any sign-normalized lines by the breakpoint sweep."""
     values, interval_counts, point_counts = _coverage_counts(store, a_new, b_new)
     total = len(store) + 1
     per: dict[float, Region] = {}
@@ -197,7 +238,7 @@ def prediction_intervals(
         if convex_hull and pieces:
             pieces = ((pieces[0][0], pieces[-1][1]),)
         per[e] = pieces
-    return PredictionIntervals(per)
+    return per
 
 
 @dataclass(frozen=True)

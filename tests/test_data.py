@@ -105,6 +105,8 @@ class TestBag:
         assert not twin.x.flags.writeable
         with pytest.raises(ValueError):
             twin.x[0, 0] = math.nan
+        with pytest.raises(ValueError):
+            twin.x.setflags(write=True)
         assert twin.x.tobytes() == bag.x.tobytes()
         assert (twin.y, twin.label_space) == (bag.y, bag.label_space)
         assert twin._prefix is None
@@ -137,6 +139,10 @@ class TestBag:
             got = bag.feature_rows
             assert got.flags.c_contiguous and not got.flags.writeable
             assert got.tobytes() == np.ascontiguousarray(bag.x.T).tobytes()
+            # neither array the bag hands out can be made writeable again
+            for held in (bag.x, got):
+                with pytest.raises(ValueError):
+                    held.setflags(write=True)
         # a marker in a's rows shows that an append extends them
         a._rows = np.full_like(rows, 7.0)
         assert a.append(b).feature_rows.tolist() == [[7.0, 7.0, 4.0], [7.0, 7.0, 5.0]]

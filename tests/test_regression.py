@@ -18,6 +18,7 @@ from conformal import (
     prediction_intervals,
     score_region,
 )
+from conformal.regression import _swept_intervals
 
 INF = math.inf
 
@@ -79,6 +80,16 @@ class TestScoreRegion:
         for hull in (False, True):
             with pytest.raises(ValueError, match="root is not finite"):
                 prediction_intervals([ScoreLine(0.0, 0.0), line_i], line_new, (0.1,), hull)
+
+    def test_flat_overflow_rejected(self):
+        # flat stored lines take the selection path, which finds the
+        # overflow at the widest region whatever level it selects
+        lines, line_new = [ScoreLine(1e308, 0.0), ScoreLine(0.0, 0.0)], ScoreLine(1e308, 1.0)
+        with pytest.raises(ValueError, match="root is not finite"):
+            score_region(lines[0], line_new)
+        for hull in (False, True):
+            with pytest.raises(ValueError, match="root is not finite"):
+                prediction_intervals(lines, line_new, (0.1, 0.9), hull)
 
     def test_equal_slope_overflow_rejected(self):
         # unchecked, 2 * b overflows and puts the root at 0.0 instead of -0.75
@@ -202,6 +213,22 @@ def sweep_instances(draw):
     return lines, new, tuple(sorted(eps))
 
 
+@st.composite
+def flat_instances(draw):
+    """Flat stored lines (b = 0 or -0.0) on an integer grid, many of them tied
+    in |a| and some at a = -0.0, against a new line with b > 0; the levels
+    reach t = floor(eps * (n + 1)) <= 0 and t = n."""
+    zero_or = st.sampled_from([0.0, -0.0])
+    a = draw(st.lists(st.integers(-6, 6).map(float) | zero_or, max_size=14))
+    lines = [ScoreLine(v, draw(zero_or)) for v in a]
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=4))
+    new = ScoreLine(draw(st.integers(-8, 8)) / 2, draw(st.sampled_from([0.1, 0.25, 0.3, 1.0, 3.0])))
+    eps = draw(st.lists(st.sampled_from([0.01, 0.05, 0.3, 0.5, 0.8, 0.95, 0.99]), min_size=1,
+                        max_size=4, unique=True))
+    return lines, new, tuple(sorted(eps))
+
+
 def _inside(inner, outer):
     return all(any(lo <= ilo and ihi <= hi for lo, hi in outer) for ilo, ihi in inner)
 
@@ -214,6 +241,18 @@ class TestSweepProperties:
         got = prediction_intervals(lines, new, eps, hull)
         for e in eps:
             assert got.intervals_at(e) == tuple(direct_membership_union(lines, new, e, hull))
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat_instances(), st.booleans())
+    def test_flat_lines_equal_membership_oracle_exactly(self, instance, hull):
+        lines, new, eps = instance
+        got = prediction_intervals(lines, new, eps, hull)
+        for e in eps:
+            want = tuple(direct_membership_union(lines, new, e, hull))
+            assert got.intervals_at(e) == want
+            # the sign of a zero end too: both paths fold -0.0 into 0.0
+            assert [math.copysign(1.0, v) for piece in got.intervals_at(e) for v in piece] == [
+                math.copysign(1.0, v) for piece in want for v in piece]
 
     @settings(max_examples=200, deadline=None)
     @given(sweep_instances(), st.booleans())
@@ -282,16 +321,17 @@ class TestConformalRegressor:
         assert 0.03 <= report.per_epsilon[0.1].miss_rate <= 0.17
 
     def test_predict_equals_sweep_over_normalized_lines(self):
-        # n = 2000: the array-held store against a list of normalize_line lines
+        # n = 2000: the array-held store, whose flat lines take the selection
+        # path, against the breakpoint sweep over normalize_line lines
         eps = (0.05, 0.1, 0.2)
         bag = linear_regression_bag(2000, seed=10)
         predictor = self._predictor(epsilons=eps, convex_hull=False, k=3).train(bag)
         a, b = knn_regression_coeffs(KnnConfig(k=3), bag, bag, True)
-        lines = [normalize_line(ai, bi) for ai, bi in zip(a, b)]
+        store = np.array([normalize_line(ai, bi) for ai, bi in zip(a, b)])
         x_test = linear_regression_bag(8, seed=11).x
         for x, got in zip(x_test, predictor.predict(x_test)):
-            new = normalize_line(*predictor.provider.coeffs_n(x))
-            assert got == prediction_intervals(lines, new, eps, convex_hull=False)
+            a_new, b_new = normalize_line(*predictor.provider.coeffs_n(x))
+            assert got.per_epsilon == _swept_intervals(store, a_new, b_new, eps, False)
 
     def test_empty_test_rejected(self):
         predictor = self._predictor().train(linear_regression_bag(10, seed=1))
