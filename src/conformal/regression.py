@@ -221,8 +221,10 @@ def prediction_intervals(
     store = np.asarray(lines, dtype=float).reshape(len(lines), 2)
     a_new, b_new = map(float, line_new)
     if b_new > 0 and not store[:, 1].any():  # flat stored lines: nested regions
-        return PredictionIntervals(_nested_intervals(np.abs(store[:, 0]), ScoreLine(a_new, b_new), eps))
-    return PredictionIntervals(_swept_intervals(store, a_new, b_new, eps, convex_hull))
+        per = _nested_intervals(np.abs(store[:, 0]), ScoreLine(a_new, b_new), eps)
+    else:
+        per = _swept_intervals(store, a_new, b_new, eps, convex_hull)
+    return PredictionIntervals(per)
 
 
 def _swept_intervals(
