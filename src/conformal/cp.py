@@ -20,7 +20,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Bag, Label, SeededRng, check_labels_known, check_observations, require_trained
+from .data import Bag, Label, SeededRng, _example, check_labels_known, check_observations, require_trained
 from .metrics import EpsilonStats, ValidityReport, check_epsilons, validity_report
 from .ncm import NonconformityMeasure
 
@@ -369,7 +369,7 @@ class ConformalClassifier(ScoreStoreClassifier):
             table = self.p_values(x[None, :], rng)
             sets.append(sets_from_p_values(table, self.config.epsilons)[0])
             true_p.append(float(table.values[0, table.labels.index(y)]))
-            self.train(Bag.classification(x[None, :], (y,), self._bag.label_space))
+            self.train(_example(stream, i, self._bag.label_space))
         if sets:
             report = validity_report(sets, stream.y, self.config.epsilons)
         else:

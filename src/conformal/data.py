@@ -57,9 +57,9 @@ class Bag:
 
     A bag made by :meth:`append` remembers, through a weak reference, the
     bag it extended, so :meth:`starts_with` answers for that bag in O(1)
-    and :attr:`feature_rows` extends that bag's rows; a copy or an
-    unpickled bag is checked again as a new bag, read-only, and remembers
-    nothing.
+    and :attr:`feature_rows` extends that bag's rows (at once, when that bag
+    holds them already); a copy or an unpickled bag is checked again as a
+    new bag, read-only, and remembers nothing.
     """
 
     __slots__ = ("x", "y", "label_space", "_prefix", "_rows", "__weakref__")
@@ -138,20 +138,20 @@ class Bag:
         if self.n_features != other.n_features:
             raise ValueError("feature arity mismatch")
         space = self.label_space + tuple(sorted(set(other.label_space) - set(self.label_space)))
-        merged = Bag.__new__(Bag)
-        merged.x = _read_only(np.vstack([self.x, other.x]))
-        merged.y = self.y + other.y
-        merged.label_space = space
-        merged._prefix, merged._rows = weakref.ref(self), None
+        merged = _unchecked(np.concatenate([self.x, other.x]), self.y + other.y, space)
+        merged._prefix = weakref.ref(self)
+        if self._rows is not None:
+            merged._rows = _read_only(np.concatenate([self._rows, other.x.T], axis=1))
         return merged
 
     @property
     def feature_rows(self) -> np.ndarray:
         """The observations as one contiguous, read-only row per feature, the
         layout the distance kernel reads; computed on first use and kept.  A
-        bag appended to one that holds them extends that bag's rows.  Threads
-        that reach a bag's first use at once may each compute them; the
-        copies are equal, and either is kept."""
+        bag appended to one that holds them extends that bag's rows, at once
+        when it held them at the append.  Threads that reach a bag's first
+        use at once may each compute them; the copies are equal, and either
+        is kept."""
         if self._rows is None:
             prefix = self._prefix and self._prefix()
             if prefix is not None and prefix._rows is not None:
@@ -169,6 +169,22 @@ class Bag:
             return True
         n = len(other)
         return n <= len(self) and other.y == self.y[:n] and np.array_equal(other.x, self.x[:n])
+
+
+def _unchecked(x: np.ndarray, y: tuple, label_space: tuple) -> Bag:
+    """A bag of examples that were checked as part of another bag: ``x`` is
+    an array no one else holds, or a view of a bag's read-only ``x``, and
+    ``label_space`` holds every label of ``y``."""
+    bag = Bag.__new__(Bag)
+    bag.x, bag.y, bag.label_space = _read_only(x), y, label_space
+    bag._prefix = bag._rows = None
+    return bag
+
+
+def _example(bag: Bag, i: int, label_space: tuple) -> Bag:
+    """Example ``i`` of ``bag`` as a bag of its own over ``label_space``,
+    which must hold its label; nothing is checked again."""
+    return _unchecked(bag.x[i: i + 1], bag.y[i: i + 1], label_space)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

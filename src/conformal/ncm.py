@@ -28,7 +28,12 @@ class NonconformityMeasure(ABC):
     measure exclude each example from its own reference set.  ``score``
     evaluates one observation against every candidate label, in label-space
     order, and ``score_matrix`` does the same for a batch of observations.
-    A trained measure is immutable; only ``train`` and ``extend`` mutate it.
+    Only ``train`` and ``extend`` change a trained measure's fit.  A query
+    may leave a record of its own work for the next ``extend`` to reuse (the
+    kNN measure keeps the distances of its last one-row query); it replaces
+    the record whole, and ``extend`` takes it only where it equals what
+    ``extend`` would compute, so concurrent queries stay safe and cannot
+    change a fit.
     """
 
     @abstractmethod
@@ -68,7 +73,13 @@ class NonconformityMeasure(ABC):
 
 
 class RegressionCoefficientProvider(ABC):
-    """Provides the (a, b) coefficients of regression score lines ``|a + b*y|``."""
+    """Provides the (a, b) coefficients of regression score lines ``|a + b*y|``.
+
+    Only ``train`` and ``extend`` change a trained provider's fit.  A
+    ``coeffs_n`` query may leave a record of its own work for the next
+    ``extend``, under the rule of ``NonconformityMeasure`` (the kNN provider
+    keeps the distances and k nearest of its last query).
+    """
 
     @abstractmethod
     def train(self, bag: Bag) -> None:
@@ -256,9 +267,10 @@ def _neighbour_sums(k: int, sq: np.ndarray, groups: dict, codes) -> np.ndarray:
 def _ratio_scores(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # num, den >= 0.  0/0 -> 0; x/0 -> largest finite float.
     zero_den = den == 0
-    out = np.divide(num, den, out=np.empty_like(num), where=~zero_den)
-    if zero_den.any():
-        out[zero_den] = np.where(num[zero_den] == 0, 0.0, HUGE_SCORE)
+    if not zero_den.any():
+        return num / den
+    out = num / np.where(zero_den, 1.0, den)
+    out[zero_den] = np.where(num[zero_den] == 0, 0.0, HUGE_SCORE)
     return out
 
 
@@ -283,7 +295,29 @@ def _resume(held: Bag | None, fit, bag: Bag, empty) -> tuple:
     return n, tuple(np.concatenate([f, np.empty((new,) + f.shape[1:], f.dtype)]) for f in fit)
 
 
-def _new_pairs(bag: Bag, n_old: int, order=None, stops=()):
+def _remember(bag: Bag, X: np.ndarray, sq: np.ndarray, *extra) -> tuple:
+    """What a one-row query against ``bag`` leaves for the next ``extend``
+    (:func:`_shared_row`): the bag, a copy of the row, and its squared
+    distances ``sq`` (shape (1, len(bag))), made read-only, plus ``extra``.
+    A plug-in holds it as one attribute, which a query replaces whole, so
+    concurrent queries leave one query's complete record."""
+    sq.setflags(write=False)
+    return (bag, X[0].copy(), sq, *extra)
+
+
+def _shared_row(query: tuple | None, held: Bag | None, bag: Bag, n_old: int) -> tuple | None:
+    """``query`` (:func:`_remember`) when ``bag`` is the held bag ``held``
+    plus exactly the row that query asked about (bit for bit), so its
+    distances are those of the bag's one new example to the held ones;
+    otherwise None.  ``n_old`` is what :func:`_resume` returned.  The kernel
+    gives every entry the same bits whatever the batch it comes in, so the
+    shared row changes no bit of the fit."""
+    if query is None or n_old == 0 or len(bag) != n_old + 1 or query[0] is not held:
+        return None
+    return query if query[1].tobytes() == bag.x[n_old].tobytes() else None
+
+
+def _new_pairs(bag: Bag, n_old: int, order=None, stops=(), first=None):
     """The squared distances of every pair of examples of ``bag`` (taken in
     ``order`` when given) that holds a new one (position ``n_old`` or
     above), each computed once, as blocks ``(rows, cols, sq, skip)``: ``sq``
@@ -291,7 +325,9 @@ def _new_pairs(bag: Bag, n_old: int, order=None, stops=()):
     ``cols``.  A consumer merges a block into its rows, and through its
     transpose into the columns from ``cols.start + skip`` on; the columns
     before those are the block's own rows, whose diagonal is infinity.  No
-    block's rows cross a position in ``stops``.
+    block's rows cross a position in ``stops``.  ``first``, the distances
+    (1, n_old) of a one-row step's new example to the held ones that the
+    caller already holds (:func:`_shared_row`), is the only block.
 
     The new rows meet the old ones in row chunks, then each other in
     symmetric tiles: row chunks whose columns start at the chunk's first
@@ -302,6 +338,9 @@ def _new_pairs(bag: Bag, n_old: int, order=None, stops=()):
     row meets the columns of its blocks in ascending order, so a merge that
     keeps the first of equal candidates keeps the lowest index.
     """
+    if first is not None:
+        yield slice(n_old, n_old + 1), slice(0, n_old), first, 0
+        return
     x, bag_rows = bag.x, bag.feature_rows
     if order is not None:
         # np.take keeps the rows C-ordered (bag_rows[:, order] is F-ordered)
@@ -346,7 +385,7 @@ def _label_columns(codes: np.ndarray, held: dict | None = None) -> dict:
     start = sum(len(cols) for cols in groups.values())
     # codes follow first appearance, so a code new to ``held`` is the next one
     for code in sorted(set(codes.tolist())):
-        new = start + np.flatnonzero(codes == code)
+        new = start + (codes == code).nonzero()[0]
         groups[code] = np.concatenate([groups[code], new]) if code in groups else new
     return groups
 
@@ -419,10 +458,13 @@ class KnnClassifierMeasure(NonconformityMeasure):
     ``scores`` and ``score_matrix`` take the k nearest through one sorted
     selection per label group (:func:`_neighbour_sums`).  ``extend`` keeps,
     for each example of the bag it fits, its sorted k smallest same-label
-    and other-label squared distances (O(n·k) floats).  It merges the
-    distances of each new example into them (:func:`_new_pairs`), so a step
-    that continues the fitted bag computes only the new examples' distances,
-    and a fit from nothing each distance once.
+    and other-label squared distances (O(n·k) floats) and its score.  It
+    merges the distances of each new example into them (:func:`_new_pairs`),
+    so a step that continues the fitted bag computes only the new examples'
+    distances, and a fit from nothing each distance once.  A one-row
+    ``score_matrix`` remembers its distance row, and a one-row step that
+    absorbs that row merges it instead of computing it again; the step then
+    rescores only the new example and the held ones it enters.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -431,10 +473,11 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._codes = np.empty(0, dtype=int)
         self._code_of: dict = {}
         self._groups: dict = {}  # _label_columns of _codes
-        # (near,) of the bag fitted by extend: near[i, 0] and near[i, 1] are
-        # the sorted k smallest same-label and other-label squared distances
-        # of example i to the other examples
-        self._fit: tuple[np.ndarray] | None = None
+        # (near, scores) of the bag fitted by extend: near[i, 0] and
+        # near[i, 1] are the sorted k smallest same-label and other-label
+        # squared distances of example i to the other examples
+        self._fit: tuple[np.ndarray, np.ndarray] | None = None
+        self._query: tuple | None = None  # _remember of the last one-row query
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
@@ -447,7 +490,8 @@ class KnnClassifierMeasure(NonconformityMeasure):
 
     def extend(self, bag: Bag) -> np.ndarray:
         """Training scores of ``bag``; when it continues the bag of the last
-        ``extend``, only the distances of its new examples are computed.
+        ``extend``, only the distances of its new examples are computed, and
+        only the scores of the new examples and of the held ones they enter.
 
         Excluding each example itself drops the same zero as the first
         zero-distance same-label column that ``knn_scores`` drops, and a
@@ -456,7 +500,8 @@ class KnnClassifierMeasure(NonconformityMeasure):
         raises, as ``scores`` would, before any state changes.
         """
         k = self.config.k
-        n_old, (near,) = _resume(self._bag, self._fit, bag, (np.empty((0, 2, k)),))
+        empty = (np.empty((0, 2, k)), np.empty(0))
+        n_old, (near, scores) = _resume(self._bag, self._fit, bag, empty)
         codes, code_of = _label_codes(bag.y[n_old:], self._codes[:n_old], self._code_of if n_old else None)
         held = self._groups if n_old else {}
         groups = _label_columns(codes[n_old:], held)
@@ -464,27 +509,38 @@ class KnnClassifierMeasure(NonconformityMeasure):
             _check_neighbours(k, bag.y[cols[0]], len(cols) - 1, len(bag) - len(cols))
         near[n_old:] = np.inf
         if n_old and (len(bag) - n_old) * n_old <= _STEP_ENTRIES:
-            self._step(near, codes, bag, n_old)
+            query = _shared_row(self._query, self._bag, bag, n_old)
+            changed = self._step(near, codes, bag, n_old, None if query is None else query[2])
         else:
             self._merge_by_label(near, codes, held, groups, bag, n_old)
+            changed = slice(None)
+        num, den = _root_sums(near[changed]).T
+        scores[changed] = _ratio_scores(num, den)
         self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
-        self._fit = (near,)
-        num, den = _root_sums(near).T
-        return _ratio_scores(num, den)
+        self._fit, self._query = (near, scores), None
+        return scores.copy()
 
-    def _step(self, near, codes, bag, n_old) -> None:
+    def _step(self, near, codes, bag, n_old, first) -> np.ndarray:
         """Merge the distances of a few new examples into ``near`` in bag
         order: each block is split into same-label and other-label
         candidates by a label-code mask, then merged into its rows and,
-        through its transpose, into its columns."""
+        through its transpose, into the columns it enters (strictly below
+        their k-th).  ``first`` is :func:`_new_pairs`'s.  Returns the
+        positions whose lists may have changed: the new examples and the
+        columns entered."""
         k = self.config.k
-        for rows, cols, sq, skip in _new_pairs(bag, n_old):
+        changed = [np.arange(n_old, len(bag))]
+        for rows, cols, sq, skip in _new_pairs(bag, n_old, first=first):
             # (rows, side, cols): the same-label, then the other-label candidates
             side = (codes[rows, None] == codes[None, cols])[:, None, :] == np.array([[True], [False]])
             cand = np.where(side, sq[:, None, :], np.inf)
             near[rows] = _merge_smallest(near[rows], [cand], k)
-            into = slice(cols.start + skip, cols.stop)
-            near[into] = _merge_smallest(near[into], [cand[:, :, skip:].transpose(2, 1, 0)], k)
+            lo, tail = cols.start + skip, cand[:, :, skip:]
+            enter = (tail < near[lo: cols.stop, :, -1].T).any(axis=(0, 1)).nonzero()[0]
+            at = lo + enter
+            near[at] = _merge_smallest(near[at], [tail[:, :, enter].transpose(2, 1, 0)], k)
+            changed.append(at)
+        return np.concatenate(changed)
 
     def _merge_by_label(self, near, codes, held, groups, bag, n_old) -> None:
         """Merge the distances of every new example into ``near`` in label
@@ -530,8 +586,11 @@ class KnnClassifierMeasure(NonconformityMeasure):
             _check_neighbours(k, lbl, n_same, len(bag) - n_same)
         out = np.empty((X.shape[0], len(label_space)))
         for rows in _row_chunks(X.shape[0], len(bag)):
-            num, den = _neighbour_sums(k, _sq_dists_to(X[rows], bag.feature_rows), self._groups, codes)
+            sq = _sq_dists_to(X[rows], bag.feature_rows)
+            num, den = _neighbour_sums(k, sq, self._groups, codes)
             out[rows] = _ratio_scores(num, den)
+        if len(X) == 1:
+            self._query = _remember(bag, X, sq)
         return out
 
 
@@ -575,13 +634,19 @@ def knn_regression_coeffs_n(
 ) -> tuple[float, float]:
     """Coefficients for a new observation: a = -mean(k nearest labels), b = 1.
     ``labels`` are the training labels as floats, when the caller holds them."""
+    _, _, pick = _query_neighbours(cfg, training, x)
+    labels = np.asarray(training.y, dtype=float) if labels is None else labels
+    return -float(_label_means(labels, pick)[0]), 1.0
+
+
+def _query_neighbours(cfg: KnnConfig, training: Bag, x: np.ndarray) -> tuple:
+    """``(X, sq, pick)``: the observation as a checked (1, d) matrix, its
+    squared distances to the training bag and its k nearest columns."""
     if len(training) < cfg.k:
         raise ValueError(f"need k={cfg.k} neighbours, only {len(training)} available")
-    x = check_observations(np.asarray(x, dtype=float)[None, :], training.n_features)
-    sq = _sq_dists_to(x, training.feature_rows)
-    labels = np.asarray(training.y, dtype=float) if labels is None else labels
-    means = _label_means(labels, _k_nearest(cfg.k, sq))
-    return -float(means[0]), 1.0
+    X = check_observations(np.asarray(x, dtype=float)[None, :], training.n_features)
+    sq = _sq_dists_to(X, training.feature_rows)
+    return X, sq, _k_nearest(cfg.k, sq)
 
 
 class KnnRegressionProvider(RegressionCoefficientProvider):
@@ -593,7 +658,9 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
     one, computes only the new examples' distances.  A held example that a
     new one comes strictly closer to than its k-th takes it into its list
     (the new, larger index goes after any tie, as the stable order puts it)
-    and is averaged again; a tie changes nothing.
+    and is averaged again; a tie changes nothing.  ``coeffs_n`` remembers
+    its distance row and k nearest, and a one-row step that absorbs that
+    row takes both instead of computing them again.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -602,6 +669,7 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         # (a, labels, near, idx) of the bag fitted by extend: example i's k
         # nearest others are idx[i], at squared distances near[i]
         self._fit: tuple[np.ndarray, ...] | None = None
+        self._query: tuple | None = None  # _remember of the last coeffs_n, with its k nearest
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
@@ -618,34 +686,43 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         empty = (np.empty(0), np.empty(0), np.empty((0, k)), np.empty((0, k), dtype=int))
         n_old, (a, labels, near, idx) = _resume(self._bag, self._fit, bag, empty)
         labels[n_old:] = bag.y[n_old:]
+        query = _shared_row(self._query, self._bag, bag, n_old)
         # a lone new example meets only the held ones: its own column, the
         # last, at infinity, would sort after all of them
         width = n if n - n_old > 1 else n_old
         changed = [np.arange(n_old, n)]
         for chunk in _row_chunks(n - n_old, n):
             new = np.arange(n_old, n)[chunk]
-            sq = _sq_dists_to(bag.x[new], bag.feature_rows[:, :width])
-            if width == n:
-                sq[np.arange(len(new)), new] = np.inf
-            hit = np.flatnonzero((sq[:, :n_old] < near[:n_old, -1]).any(axis=0))
+            if query is not None:  # the one new row, as coeffs_n saw it
+                sq, pick = query[2], query[3]
+            else:
+                sq = _sq_dists_to(bag.x[new], bag.feature_rows[:, :width])
+                if width == n:
+                    sq[np.arange(len(new)), new] = np.inf
+                pick = _k_nearest(k, sq)
+            hit = (sq[:, :n_old] < near[:n_old, -1]).any(axis=0).nonzero()[0]
             if len(hit):
                 # the held lists before the new, larger indices: a stable
                 # sort keeps the (distance, index) order
                 cand = np.concatenate([near[hit], sq[:, hit].T], axis=1)
-                ids = np.concatenate([idx[hit], np.broadcast_to(new, (len(hit), len(new)))], axis=1)
-                pick, at = _k_nearest(k, cand), np.arange(len(hit))[:, None]
-                near[hit], idx[hit] = cand[at, pick], ids[at, pick]
+                ids = np.concatenate([idx[hit], new[None, :].repeat(len(hit), axis=0)], axis=1)
+                at = np.arange(len(hit))[:, None]
+                kept = _k_nearest(k, cand)
+                near[hit], idx[hit] = cand[at, kept], ids[at, kept]
                 changed.append(hit)
-            idx[new] = pick = _k_nearest(k, sq)
+            idx[new] = pick
             near[new] = sq[np.arange(len(new))[:, None], pick]
         changed = np.concatenate(changed)
         a[changed] = labels[changed] - _label_means(labels, idx[changed])
-        self._bag, self._fit = bag, (a, labels, near, idx)
+        self._bag, self._fit, self._query = bag, (a, labels, near, idx), None
         return a.copy(), np.zeros(n)
 
     def coeffs_n(self, x: np.ndarray) -> tuple[float, float]:
-        labels = None if self._fit is None else self._fit[1]  # the bag's labels, from extend
-        return knn_regression_coeffs_n(self.config, require_trained(self._bag, "provider"), x, labels)
+        bag = require_trained(self._bag, "provider")
+        X, sq, pick = _query_neighbours(self.config, bag, x)
+        self._query = _remember(bag, X, sq, pick)
+        labels = np.asarray(bag.y, dtype=float) if self._fit is None else self._fit[1]  # from extend
+        return -float(_label_means(labels, pick)[0]), 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Bag, check_observations, require_trained
+from .data import Bag, _example, check_observations, require_trained
 from .metrics import IntervalReport, IntervalStats, check_epsilons
 from .ncm import RegressionCoefficientProvider
 
@@ -257,8 +257,10 @@ class RrcmConfig:
 class ConformalRegressor:
     """Regression conformal predictor returning interval unions.
 
-    A trained instance is immutable and ``predict`` is pure, so concurrent
-    prediction is safe; ``train`` and ``score_online`` need exclusive access.
+    A trained instance is immutable and ``predict`` changes no fit (the
+    provider may keep a record of its query, see
+    ``RegressionCoefficientProvider``), so concurrent prediction is safe;
+    ``train`` and ``score_online`` need exclusive access.
     """
 
     def __init__(self, provider: RegressionCoefficientProvider, config: RrcmConfig):
@@ -287,14 +289,15 @@ class ConformalRegressor:
         if merged.is_classification:
             raise ValueError("the regression predictor needs a regression bag")
         a, b = self.provider.extend(merged)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (len(merged),) or b.shape != (len(merged),):
+        if np.shape(a) != (len(merged),) or np.shape(b) != (len(merged),):
             raise ValueError("provider returned malformed coefficient vectors")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        lines = np.column_stack((a, b)).astype(float, copy=False)
+        if not np.isfinite(lines).all():
             raise ValueError("score line coefficients must be finite")
-        lines = np.column_stack((a, b))
-        self._lines = np.where((b < 0)[:, None], -lines, lines)  # see normalize_line
+        flip = lines[:, 1] < 0
+        if flip.any():
+            lines[flip] *= -1.0  # see normalize_line
+        self._lines = lines
         self._bag = merged
         return self
 
@@ -327,16 +330,17 @@ class ConformalRegressor:
 
         Each element is absorbed by a non-override ``train``, so the provider
         updates only the coefficients the element changes (see
-        ``RegressionCoefficientProvider.extend``).
+        ``RegressionCoefficientProvider.extend``).  The stream's width and
+        kind are checked before the first element is absorbed.
         """
         require_trained(self._lines, "predictor")
+        check_observations(stream.x, self._bag.n_features)
         if stream.is_classification:
             raise ValueError("scoring needs a regression bag")
         predictions: list[PredictionIntervals] = []
         for i in range(len(stream)):
-            x, y = stream.x[i], stream.y[i]
-            predictions.append(self.predict(x[None, :])[0])
-            self.train(Bag.regression(x[None, :], (y,)))
+            predictions.append(self.predict(stream.x[i: i + 1])[0])
+            self.train(_example(stream, i, ()))
         if not predictions:
             zero = {e: IntervalStats(0.0, 0.0) for e in self.config.epsilons}
             return IntervalReport(zero, 0)

@@ -17,8 +17,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .data import Bag, Label, check_labels_known, check_observations, require_trained
-from .ncm import _new_pairs, _resume, _row_chunks, _sq_dists_to
+from .data import Bag, Label, _example, check_labels_known, check_observations, require_trained
+from .ncm import _new_pairs, _remember, _resume, _row_chunks, _shared_row, _sq_dists_to
 
 
 class VennTaxonomy(ABC):
@@ -26,6 +26,10 @@ class VennTaxonomy(ABC):
 
     ``contains_x`` says whether the observation was part of the training
     bag, so a taxonomy can exclude an example from its own neighbourhood.
+    Only ``train`` and ``extend`` change a trained taxonomy's fit.  A query
+    may leave a record of its own work for the next ``extend``, under the
+    rule of ``NonconformityMeasure`` (the nearest-neighbour taxonomy keeps
+    the distances of its last one-row query).
     """
 
     @abstractmethod
@@ -63,6 +67,13 @@ class VennTaxonomy(ABC):
         hypotheses = [(y,) for y in bag.y]
         return [row[0] for row in self.categories(bag.x, hypotheses, np.ones(len(bag), bool))]
 
+    def _rewritten(self, before: list, after: list):
+        """The positions at which ``after``, the list the last ``extend``
+        returned, may differ from ``before``, when ``before`` is the list
+        the ``extend`` before it returned and the taxonomy knows them; None
+        when it does not."""
+        return None
+
 
 class NearestNeighborTaxonomy(VennTaxonomy):
     """Category = label of the nearest training observation.
@@ -76,7 +87,9 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     them (``ncm._new_pairs``), so a step that continues the fitted bag
     computes only the new examples' distances, and a fit from nothing each
     distance once.  A step rewrites only the categories of the examples
-    whose nearest index changed and of the new ones.
+    whose nearest index changed and of the new ones.  A one-row
+    ``categories`` query remembers its distance row, and a one-row step
+    that absorbs that row merges it instead of computing it again.
     """
 
     def __init__(self):
@@ -85,6 +98,10 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         # fitted, and the category list extend returned
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
         self._categories: list[Hashable] = []
+        self._query: tuple | None = None  # ncm._remember of the last one-row query
+        # (the list extend returned before, the list it returned last, the
+        # positions that last extend rewrote)
+        self._returned: tuple = (None, None, ())
 
     def train(self, bag: Bag) -> None:
         self._bag = bag
@@ -101,17 +118,26 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
-        nearest, _ = _nearest(bag, X, np.asarray(contains_x, dtype=bool))
+        contains = np.asarray(contains_x, dtype=bool)
+        nearest = np.empty(len(X), dtype=int)
+        for rows in _row_chunks(len(X), len(bag)):
+            sq = _sq_dists_to(X[rows], bag.feature_rows)
+            nearest[rows] = _nearest(sq, contains[rows])
+        if len(X) == 1:
+            self._query = _remember(bag, X, sq)
         return [
             list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
         ]
 
     def extend(self, bag: Bag) -> list[Hashable]:
         n_old, (nearest, dist) = _resume(self._bag, self._fit, bag, (np.empty(0, int), np.empty(0)))
+        query = _shared_row(self._query, self._bag, bag, n_old)
         nearest[n_old:], dist[n_old:] = -1, np.inf
-        for rows, cols, sq, skip in _new_pairs(bag, n_old):
+        new = np.arange(n_old, len(bag))
+        redo = [new]  # the new examples and the held ones whose nearest index changes
+        for rows, cols, sq, skip in _new_pairs(bag, n_old, first=None if query is None else query[2]):
             _merge_nearest(nearest, dist, rows, cols, sq)
-            _merge_nearest(nearest, dist, slice(cols.start + skip, cols.stop), rows, sq[:, skip:].T)
+            redo.append(_merge_nearest(nearest, dist, slice(cols.start + skip, cols.stop), rows, sq[:, skip:].T))
         # the merge skips each example itself, _nearest its first
         # zero-distance occurrence: they differ for a new example r with a
         # zero-distance one at a lower index.  Then j = nearest[r] is the
@@ -119,47 +145,50 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         # the lowest other index at distance 0, which the merge gave j.  (The
         # held examples already hold what _nearest gave them, and a later
         # example never comes strictly closer than distance 0.)
-        new = np.arange(n_old, len(bag))
         dup = new[(dist[n_old:] == 0) & (nearest[n_old:] < new)]
         nearest[dup] = nearest[nearest[dup]]
         categories = self._categories[:n_old] + [None] * len(new)
-        redo = new if n_old == 0 else np.append(np.flatnonzero(nearest[:n_old] != self._fit[0]), new)
-        for i, j in zip(redo.tolist(), nearest[redo].tolist()):
+        redo = list(dict.fromkeys(np.concatenate(redo).tolist()))  # each position once
+        for i, j in zip(redo, nearest[redo].tolist()):
             categories[i] = bag.y[i] if j < 0 else bag.y[j]
-        self._bag, self._fit, self._categories = bag, (nearest, dist), categories
-        return list(categories)
+        self._bag, self._fit, self._categories, self._query = bag, (nearest, dist), categories, None
+        out = list(categories)
+        self._returned = (self._returned[1], out, redo)
+        return out
+
+    def _rewritten(self, before: list, after: list):
+        last, out, redo = self._returned
+        return redo if before is last and after is out else None
 
 
-def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: slice, sq: np.ndarray) -> None:
+def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: slice, sq: np.ndarray) -> np.ndarray:
     """Merge the squared distances ``sq`` of the examples in slice ``rows``
     to those in slice ``cols`` into their held nearest index and distance; a
-    tie keeps the held index, which is the lower one."""
-    best = sq.argmin(axis=1)
-    d = sq[np.arange(len(sq)), best]
-    closer = np.flatnonzero(d < dist[rows])
-    nearest[rows.start + closer] = cols.start + best[closer]
-    dist[rows.start + closer] = d[closer]
+    tie keeps the held index, which is the lower one.  Returns the positions
+    whose nearest index changed."""
+    best, d = sq.argmin(axis=1), sq.min(axis=1)
+    closer = (d < dist[rows]).nonzero()[0]
+    at = rows.start + closer
+    nearest[at] = cols.start + best[closer]
+    dist[at] = d[closer]
+    return at
 
 
-def _nearest(bag: Bag, X: np.ndarray, contains_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each row's nearest bag observation and its squared distance.
+def _nearest(sq: np.ndarray, contains: np.ndarray) -> np.ndarray:
+    """Column of each row's nearest bag observation, from the row's squared
+    distances ``sq`` to the bag, which are left as they are.
 
-    A row with ``contains_x`` skips its first zero-distance occurrence; when
-    that leaves no bag observation the index is -1 (fall back to the
-    hypothesis label) and the distance inf.
+    A row with ``contains`` skips its first zero-distance column; when that
+    leaves no bag observation the column is -1 (fall back to the hypothesis
+    label).
     """
-    nearest = np.empty(len(X), dtype=int)
-    dist = np.empty(len(X))
-    for rows in _row_chunks(len(X), len(bag)):
-        sq = _sq_dists_to(X[rows], bag.feature_rows)
-        contains = contains_x[rows]
-        zero = sq == 0
-        own = contains & zero.any(axis=1)
+    zero = sq == 0
+    own = contains & zero.any(axis=1)
+    if own.any():
+        sq = sq.copy()
         sq[own, zero.argmax(axis=1)[own]] = np.inf
-        closest = sq.argmin(axis=1)
-        dist[rows] = sq[np.arange(len(sq)), closest]
-        nearest[rows] = np.where(contains & ~np.isfinite(dist[rows]), -1, closest)
-    return nearest, dist
+    closest = sq.argmin(axis=1)
+    return np.where(contains & ~np.isfinite(sq[np.arange(len(sq)), closest]), -1, closest)
 
 
 @dataclass(frozen=True)
@@ -239,11 +268,16 @@ class VennPredictor:
             index, counts = _count_labels({}, np.zeros((1, 0)), merged.label_space, ([], []), (categories, merged.y))
         else:
             n_old, held, y = len(self._bag), self._categories, merged.y
-            # the held examples whose category changed; one list comparison
-            # when none did
-            moved = [] if held == categories[:n_old] else list(
-                itertools.compress(range(n_old), map(operator.ne, held, categories))
-            )
+            # the held examples whose category changed: among those the
+            # taxonomy rewrote, when it names them; otherwise one list
+            # comparison when none did
+            moved = self.taxonomy._rewritten(held, categories)
+            if moved is not None:
+                moved = [i for i in moved if i < n_old and held[i] != categories[i]]
+            elif held == categories[:n_old]:
+                moved = []
+            else:
+                moved = list(itertools.compress(range(n_old), map(operator.ne, held, categories)))
             entering = moved + list(range(n_old, len(merged)))
             index, counts = _count_labels(
                 self._category_index, self._label_counts, merged.label_space,
@@ -315,7 +349,7 @@ class VennPredictor:
             pred, interval = self.predict(x[None, :], proba=True)
             predictions.append(pred[0])
             intervals.append(interval[0])
-            self.train(Bag.classification(x[None, :], (y,), self._bag.label_space))
+            self.train(_example(stream, i, self._bag.label_space))
         return _venn_report(predictions, intervals, stream.y)
 
     def _matrices(self, X: np.ndarray) -> np.ndarray:
@@ -353,11 +387,10 @@ def _count_labels(index: dict, counts: np.ndarray, label_space, leave, enter) ->
     label_index = {lbl: j for j, lbl in enumerate(label_space)}
     table = np.zeros((len(index) + 1, len(label_index)))
     table[: len(counts) - 1, : counts.shape[1]] = counts[:-1]
+    # a step moves a few counts, each cheaper alone than through np.add.at
     for (cats, labels), weight in ((leave, -1.0), (enter, 1.0)):
-        if len(cats):
-            rows = np.fromiter(map(index.__getitem__, cats), dtype=int, count=len(cats))
-            cols = np.fromiter(map(label_index.__getitem__, labels), dtype=int, count=len(cats))
-            np.add.at(table, (rows, cols), weight)
+        for cat, lbl in zip(cats, labels):
+            table[index[cat], label_index[lbl]] += weight
     return index, table
 
 

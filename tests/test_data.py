@@ -134,7 +134,7 @@ class TestBag:
         rows = a.feature_rows
         assert a.feature_rows is rows  # kept
         warm = a.append(b)
-        warm.feature_rows  # extends a's rows
+        assert warm._rows is not None  # a's rows, extended at the append
         for bag in (a, cold, warm):
             got = bag.feature_rows
             assert got.flags.c_contiguous and not got.flags.writeable

@@ -346,3 +346,13 @@ class TestConformalRegressor:
                 predictor.predict(np.array([[bad]]))
         with pytest.raises(ValueError, match="1 columns"):
             predictor.predict(np.zeros((1, 2)))
+
+    def test_wrong_width_stream_rejected_before_any_step(self):
+        # an empty stream of the wrong width used to give a zero report, while
+        # CP and Venn raise
+        predictor = self._predictor(k=3).train(linear_regression_bag(10, seed=1))
+        before = predictor.bag
+        for rows in (0, 2):
+            with pytest.raises(ValueError, match="1 columns"):
+                predictor.score_online(Bag.regression(np.zeros((rows, 3)), [0.0] * rows))
+            assert predictor.bag is before

@@ -8,6 +8,10 @@ large-batch cases run its per-feature loop, which sets numpy's ufunc
 buffer size for its own thread and restores it.  Four threads share one
 instance here, with a short switch interval so that they interleave
 inside the calls, and must give the serial results.
+
+A one-row query also leaves its distance row on the kNN plug-in for the
+next absorbed step to merge.  Whichever thread's row is left, absorbing
+must give the bits of a twin that was never queried.
 """
 
 import sys
@@ -93,11 +97,12 @@ def test_venn_predict_concurrently():
 
 def test_feature_rows_of_a_fresh_bag_concurrently():
     # a bag computes its feature rows on first use (afresh, or from the rows
-    # of the bag it was appended to), so threads that reach it at once may
-    # each compute them; every read gives the same rows
+    # the bag it was appended to gained after the append), so threads that
+    # reach it at once may each compute them; every read gives the same rows
     base = gaussian_blobs(2000, seed=80)
+    appended = base.append(gaussian_blobs(5, seed=82))
     base.feature_rows
-    for bag in (gaussian_blobs(2000, seed=81), base.append(gaussian_blobs(5, seed=82))):
+    for bag in (gaussian_blobs(2000, seed=81), appended):
         want = np.ascontiguousarray(bag.x.T)
         for row in run_concurrently(lambda i: bag.feature_rows):
             assert all(np.array_equal(got, want) for got in row)
@@ -125,3 +130,58 @@ def test_large_batches_concurrently():
             assert np.array_equal(values, want_values) and venn_out == want_venn
             assert after == before
     assert np.getbufsize() == caller
+
+
+def test_queries_leave_absorbed_bits_unchanged():
+    # threads query one row at a time.  First each ends with the stream's
+    # first row, so one of them leaves that row for the step that absorbs it
+    # without a prediction of its own; then each ends with another row, which
+    # the step absorbing the second row must not take.  score_online then
+    # predicts and absorbs the rest
+    bag, rbag = gaussian_blobs(300, seed=110), linear_regression_bag(300, seed=111)
+    stream, rstream = gaussian_blobs(10, seed=112), linear_regression_bag(10, seed=113)
+    rows = np.vstack([gaussian_blobs(2 * THREADS, seed=114).x, stream.x])
+    rrows = np.vstack([linear_regression_bag(2 * THREADS, seed=115).x, rstream.x])
+
+    def build():
+        return (
+            ConformalClassifier(KnnClassifierMeasure(KnnConfig(k=3)),
+                                CpConfig(epsilons=(0.05, 0.2), smoothed=True)).train(bag),
+            VennPredictor(NearestNeighborTaxonomy()).train(bag),
+            ConformalRegressor(KnnRegressionProvider(KnnConfig(k=3)), RrcmConfig((0.05, 0.2))).train(rbag),
+        )
+
+    def query(predictors, last):
+        cp, venn, rrcm = predictors
+
+        def task(i):
+            for j in [*range(i, 2 * THREADS, THREADS), last]:
+                cp.p_values(rows[j: j + 1], SeededRng(j))
+                venn.predict(rows[j: j + 1])
+                rrcm.provider.coeffs_n(rrows[j])
+
+        run_concurrently(task)
+
+    def absorb(predictors, step, before=None):
+        if before:
+            before()
+        for predictor, data in zip(predictors, (stream, stream, rstream)):
+            predictor.train(data.subset([step]))
+
+    queried, twin = build(), build()
+    for step, last in ((0, 2 * THREADS), (1, 0)):
+        absorb(queried, step, lambda: query(queried, last))
+        absorb(twin, step)
+    rest = range(2, len(stream))
+    got, want = [
+        (cp.score_online(stream.subset(rest), SeededRng(120), return_p_values=True)[1].tobytes(),
+         venn.score_online(stream.subset(rest)), rrcm.score_online(rstream.subset(rest)))
+        for cp, venn, rrcm in (queried, twin)
+    ]
+    assert got == want
+    cp, venn, rrcm = queried
+    for cat, stored in twin[0]._store.items():
+        assert cp._store[cat].tobytes() == stored.tobytes()
+    assert venn._categories == twin[1]._categories
+    assert venn._label_counts.tobytes() == twin[1]._label_counts.tobytes()
+    assert rrcm._lines.tobytes() == twin[2]._lines.tobytes()
