@@ -25,8 +25,7 @@ from .ncm import (
     KnnConfig,
     KnnRegressionProvider,
     _feature_rows,
-    _row_chunks,
-    _sq_dists_to,
+    _Neighbours,
     cart_train,
 )
 from .regression import ConformalRegressor, RrcmConfig
@@ -187,34 +186,23 @@ def _label_column(text: str):
 
 
 class _KnnBase:
-    """Majority vote of the k nearest training rows (distance ties to the
-    lower index), vote ties to the smallest label."""
+    """Majority vote of the k nearest training rows by (distance, index),
+    vote ties to the smallest label."""
 
     def __init__(self, config: KnnConfig):
         self.k = config.k
 
     def fit(self, x, y):
-        self._rows = _feature_rows(x)
+        self._knn = _Neighbours(_feature_rows(x))
         self._labels = sorted(set(y))  # code order, so argmax breaks vote ties
         code_of = {lbl: c for c, lbl in enumerate(self._labels)}
         self._codes = np.array([code_of[lbl] for lbl in y], dtype=int)
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
-        n = self._rows.shape[1]
-        k, n_labels = min(self.k, n), len(self._labels)
-        votes = np.empty((len(x), n_labels), dtype=int)
-        for chunk in _row_chunks(len(x), n):
-            sq = _sq_dists_to(x[chunk], self._rows)
-            kth = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
-            # every row closer than the k-th distance, then the lowest-index
-            # rows at that distance until k are chosen; the vote ignores order
-            closer, tied = sq < kth, sq == kth
-            places = k - closer.sum(axis=1, keepdims=True)
-            rows, cols = np.nonzero(closer | (tied & (np.cumsum(tied, axis=1) <= places)))
-            counts = np.bincount(rows * n_labels + self._codes[cols], minlength=len(sq) * n_labels)
-            votes[chunk] = counts.reshape(len(sq), n_labels)
-        return [self._labels[c] for c in votes.argmax(axis=1)]
+        _, idx, _ = self._knn.smallest(x, min(self.k, len(self._codes)), index=True)
+        votes = self._codes[idx[:, 0], None] == np.arange(len(self._labels))
+        return [self._labels[c] for c in votes.sum(axis=1).argmax(axis=1)]
 
 
 class _CartBase:

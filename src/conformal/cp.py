@@ -89,9 +89,11 @@ def category_p_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """p-values of every (row, label) pair plus flags of empty categories.
 
-    The taxonomy (:func:`constant_taxonomy` for plain counting) is called
-    once per pair, row-major; the pairs are grouped by category and counted
-    against that category's sorted ``store`` entry by binary search.  Over
+    The taxonomy is called once per pair, row-major; the pairs are grouped
+    by category and counted against that category's sorted ``store`` entry
+    by binary search.  The built-in taxonomies are not called per pair:
+    :func:`constant_taxonomy` (plain counting) puts every pair in its one
+    category, and :func:`label_taxonomy` each label's column in its own.  Over
     ``total`` stored scores, ``gt`` of them greater and ``eq`` equal,
     p = (gt + eq + 1) / (total + 1); smoothing replaces the tie block (the
     equal scores plus the test example) by its tau fraction, and
@@ -100,10 +102,15 @@ def category_p_values(
     holding no scores.
     """
     m, n_labels = alpha.shape
-    groups: dict[Hashable, list[int]] = {}
-    for i, x in enumerate(X):
-        for j, y in enumerate(labels):
-            groups.setdefault(taxonomy(x, y), []).append(i * n_labels + j)
+    groups: dict[Hashable, list[int] | slice] = {}
+    if taxonomy is constant_taxonomy:
+        groups[constant_taxonomy(None, None)] = slice(None)
+    elif taxonomy is label_taxonomy:
+        groups = {y: slice(j, None, n_labels) for j, y in enumerate(labels)}
+    else:
+        for i, x in enumerate(X):
+            for j, y in enumerate(labels):
+                groups.setdefault(taxonomy(x, y), []).append(i * n_labels + j)
     alpha = alpha.ravel()
     taus = None if taus is None else taus.ravel()
     extra = 1 if include_test else 0
@@ -226,15 +233,17 @@ class ScoreStoreClassifier:
         sets = self.predict(test.x, rng)
         return validity_report(sets, test.y, self.config.epsilons)
 
-    def _count(self, X, rng: SeededRng | None, include_test: bool):
+    def _count(self, X, rng: SeededRng | None, include_test: bool, checked: bool = False):
         """Counted p-values of every (observation, candidate label) pair, the
         flags of pairs whose category holds no scores, and the labels.
+        ``checked`` says that ``X`` already passed ``check_observations``.
 
         With smoothing, one tie-breaking draw is taken per pair, row-major in
         label-space order, from the caller's stream.
         """
         bag = require_trained(self._bag, "classifier")
-        X = check_observations(X, bag.n_features)
+        if not checked:
+            X = check_observations(X, bag.n_features)
         labels = bag.label_space
         taus = _draw_taus(self.config.smoothed, X.shape[0], len(labels), rng)
         if len(bag) == 0:
@@ -365,10 +374,11 @@ class ConformalClassifier(ScoreStoreClassifier):
         sets: list[PredictionSet] = []
         true_p: list[float] = []
         for i in range(len(stream)):
-            x, y = stream.x[i], stream.y[i]
-            table = self.p_values(x[None, :], rng)
+            # the whole stream is checked, so the step's row is not again
+            vals, _, labels = self._count(stream.x[i : i + 1], rng, include_test=True, checked=True)
+            table = PValueTable(vals, labels)
             sets.append(sets_from_p_values(table, self.config.epsilons)[0])
-            true_p.append(float(table.values[0, table.labels.index(y)]))
+            true_p.append(float(vals[0, labels.index(stream.y[i])]))
             self.train(_example(stream, i, self._bag.label_space))
         if sets:
             report = validity_report(sets, stream.y, self.config.epsilons)

@@ -8,6 +8,7 @@ per-label model outputs into nonconformity scores.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -131,6 +132,23 @@ _STEP_ENTRIES = 1 << 16
 #: about 2731 rows is buffered across rows, about 4x slower per entry.
 _LOOP_BUFSIZE = 256
 
+#: Least entries (query rows x features x bag rows) of a row chunk of two
+#: or more rows that :meth:`_Neighbours.smallest` computes in two stages;
+#: smaller chunks and one-row queries take the kernel's whole block.  The
+#: kernel's cost grows with the features, stage 1's hardly does.  Measured
+#: on 250-4,000 bag rows and 2-16 query rows, with 4 label groups and k = 1
+#: and 3 and with one group and k = 2 and columns (2-vCPU Xeon, numpy
+#: 2.4.6, one BLAS thread), two-stage over exact time at 16 features:
+#: 1.2-2.3x at 2^13-2^14 entries, 0.9-1.1x at 2^15, 0.55-0.75x at 2^16 and
+#: 0.35-0.7x above; at 4 features, 0.8-1.3x at 2^16-2^17.
+_TWO_STAGE_ENTRIES = 1 << 16
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+#: Largest ‖a - c‖² + max ‖b - c‖² of a two-stage query row; below it no
+#: term of stage 1 can overflow.
+_STAGE_ONE_MAX = float(np.finfo(float).max) / 8
+
 
 def _row_chunks(m: int, n: int):
     """Slices cutting ``m`` query rows into chunks of at most ``_BLOCK_ENTRIES``
@@ -194,7 +212,7 @@ def _sq_dists_to(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _smallest(block: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+def _smallest(block: np.ndarray, starts, k: int) -> np.ndarray:
     """Shape (rows, groups, k): the k smallest entries of each row within
     each (non-empty) group of consecutive columns starting at ``starts``,
     ascending; a group of fewer than k entries is padded with infinity.
@@ -213,6 +231,168 @@ def _smallest(block: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
             part = np.partition(part, k - 1, axis=1)[:, :k]
         near[:, g, : hi - lo] = np.sort(part, axis=1)
     return near
+
+
+def _argmin_passes(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's min(k, width) smallest entries of ``block`` and their
+    columns, ordered by (value, column) as a stable ``argsort`` orders them:
+    k passes of ``argmin``, each setting its pick to infinity, exact while
+    the picks are finite; a row with an infinite pick takes the stable
+    ``argsort`` (:func:`_k_nearest`)."""
+    part, at = block.copy(), np.arange(len(block))
+    shape = (len(block), min(k, block.shape[1]))
+    vals, cols = np.empty(shape), np.empty(shape, dtype=int)
+    for j in range(shape[1]):
+        cols[:, j] = pick = part.argmin(axis=1)
+        vals[:, j] = part[at, pick]
+        part[at, pick] = np.inf
+    bad = vals[:, -1] == np.inf  # the picks ascend
+    if bad.any():
+        cols[bad] = _k_nearest(k, block[bad])
+        vals[bad] = np.take_along_axis(block[bad], cols[bad], axis=1)
+    return vals, cols
+
+
+def _candidates(block: np.ndarray, starts, sizes, k: int, slack) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (row, column) of the entries of ``block`` at most each row's
+    k-th smallest entry plus ``slack`` (a scalar or one value per row) within
+    each group of ``sizes`` consecutive columns starting at ``starts``; every
+    entry of a group of at most k columns.  Row-major, columns ascending."""
+    if k == 1:
+        bound = np.minimum.reduceat(block, starts, axis=1)
+    else:
+        bound = np.full((len(block), len(starts)), np.inf)
+        for g, (lo, size) in enumerate(zip(starts, sizes)):
+            if size > k:
+                bound[:, g] = np.partition(block[:, lo : lo + size], k - 1, axis=1)[:, k - 1]
+    keep = block <= np.repeat(bound + slack, sizes, axis=1)
+    # a 2-d np.nonzero is several times slower than this
+    return np.divmod(np.flatnonzero(keep), block.shape[1])
+
+
+def _select(vals: np.ndarray, idx, slots: np.ndarray, sq: np.ndarray, cols: np.ndarray) -> None:
+    """Write the k smallest candidates of each (row, group) into ``vals``
+    (rows, groups, k), ascending, and their columns ``cols`` into ``idx``
+    (when not None).  Candidate i is entry ``sq[i]`` of the (row, group)
+    with flat index ``slots[i]`` in ``vals[:, :, 0]``; candidates come
+    row-major with columns ascending, and a stable sort keeps that order
+    among equal entries, so the result is ordered by (distance, column).
+    Slots past a group's candidates keep their padding."""
+    k = vals.shape[2]
+    order = np.lexsort((sq, slots))
+    slots = slots[order]
+    rank = np.arange(len(slots)) - np.searchsorted(slots, slots)
+    top = rank < k
+    at, flat = order[top], slots[top] * k + rank[top]
+    vals.reshape(-1)[flat] = sq[at]
+    if idx is not None:
+        idx.reshape(-1)[flat] = cols[at]
+
+
+class _Neighbours:
+    """Batch k-nearest queries against one bag, per group of its columns.
+
+    ``rows`` are the bag's feature rows (:func:`_feature_rows`); ``groups``
+    (one ascending array of columns per label code, :func:`_label_columns`)
+    split the bag, which is one group without them.  :meth:`smallest` gives
+    each query row's k smallest squared distances per group exactly as the
+    kernel computes them, with their columns in (distance, column) order.
+
+    A row chunk of two or more rows and at least ``_TWO_STAGE_ENTRIES``
+    entries (rows x features x bag rows) takes two stages.  Stage 1
+    approximates the whole block, up to a constant per row, by one matrix
+    product of the centred rows, (a - c)·(-2(b - c)) + ‖b - c‖², whose bag
+    side the instance computes on its first such query and keeps; it keeps
+    the entries within twice the row's error bound of the group's k-th
+    approximate entry.  The bound covers the centring, the product, the
+    norms and the kernel's own rounding in any summation order, so every
+    entry that can be among the k smallest is kept.  Stage 2 computes the
+    kept entries with the kernel's per-feature sum, so no output bit depends
+    on the product.  A chunk whose product could overflow (a bound that is
+    not finite among them), and every other chunk, select from the kernel's
+    whole block.
+    """
+
+    def __init__(self, rows: np.ndarray, groups: dict | None = None):
+        self.rows = rows
+        self.cols = np.concatenate(list(groups.values())) if groups else None
+        self.sizes = [len(cols) for cols in groups.values()] if groups else [rows.shape[1]]
+        self.starts = [0, *itertools.accumulate(self.sizes[:-1])]
+        # (centre, product rows, largest squared norm) of the bag in column
+        # order cols; computed by the first two-stage query, replaced whole
+        self._centred: tuple | None = None
+
+    def smallest(self, X: np.ndarray, k: int, index: bool = False) -> tuple:
+        """``(vals, idx, row)``.  ``vals[i, g]`` holds row i's k smallest
+        squared distances to the columns of group g, ascending, padded with
+        infinity past the group's size; ``idx`` (with ``index``, else None)
+        their bag columns, ordered by (distance, column) as a stable sort
+        orders them, padded with -1.  ``row`` is the kernel's (1, n) block of
+        a one-row query (for :func:`_remember`), else None."""
+        (m, d), n = X.shape, self.rows.shape[1]
+        vals = np.full((m, len(self.starts), k), np.inf)
+        idx = np.full(vals.shape, -1) if index else None
+        block = None
+        for chunk in _row_chunks(m, n):
+            rows = X[chunk]
+            got = None
+            if len(rows) >= 2 and d and n and len(rows) * d * n >= _TWO_STAGE_ENTRIES:
+                got = self._two_stage(rows, k)
+            if got is None:
+                block = _sq_dists_to(rows, self.rows)
+                full = block if self.cols is None else np.take(block, self.cols, axis=1)
+                if idx is None:
+                    vals[chunk] = _smallest(full, self.starts, k)
+                    continue
+                for g, (lo, size) in enumerate(zip(self.starts, self.sizes)):
+                    near, cols = _argmin_passes(full[:, lo : lo + size], k)
+                    vals[chunk, g, : cols.shape[1]] = near
+                    idx[chunk, g, : cols.shape[1]] = lo + cols if self.cols is None else self.cols[lo + cols]
+                continue
+            r, c, sq = got
+            slots = (r + chunk.start) * len(self.starts)
+            if self.cols is not None:
+                slots += np.searchsorted(self.starts, c, side="right") - 1
+                c = self.cols[c]
+            _select(vals, idx, slots, sq, c)
+        return vals, idx, block if m == 1 else None
+
+    def _two_stage(self, X: np.ndarray, k: int) -> tuple | None:
+        """``(rows, positions, squared distances)`` of the candidates of the
+        query rows ``X``, or None when stage 1 could overflow."""
+        centre, product, top = self._centred or self._centre()
+        d = X.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.empty((len(X), d + 1))
+            np.subtract(X, centre, out=q[:, :d])
+            q[:, d] = 1.0
+            scale = np.einsum("ij,ij->i", q[:, :d], q[:, :d]) + top
+            # every stage-1 term is at most about 2 * scale; NaN fails too
+            if not np.all(scale <= _STAGE_ONE_MAX):
+                return None
+            approx = q @ product
+        # 16 (d + 4) eps = 32 (d + 4) u is at least 6x the (5d + 10) u that,
+        # times ‖a - c‖² + ‖b - c‖², bounds the rounding of the centring
+        # (4u), the norms (du), the product (2(d + 1) u) and the kernel
+        # ((2d + 4) u); the second term covers underflow, half the smallest
+        # subnormal per product or square
+        slack = 16 * (d + 4) * _EPS * scale + 64 * (d + 4) * _TINY
+        r, c = _candidates(approx, self.starts, self.sizes, k, 2 * slack[:, None])
+        cols = c if self.cols is None else self.cols[c]
+        # (d, candidates), C-ordered, so the reduce adds whole feature rows
+        # in turn, as the kernel does (an F-ordered block is summed pairwise)
+        diff = np.subtract(np.take(X.T, r, axis=1), np.take(self.rows, cols, axis=1))
+        np.multiply(diff, diff, out=diff)
+        return r, c, np.add.reduce(diff, axis=0)
+
+    def _centre(self) -> tuple:
+        b = self.rows if self.cols is None else np.take(self.rows, self.cols, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = b.mean(axis=1)
+            cb = b - centre[:, None]
+            norms = np.einsum("ij,ij->j", cb, cb)
+            self._centred = centre, np.vstack([-2.0 * cb, norms]), norms.max()
+        return self._centred
 
 
 def _root_sums(sq: np.ndarray) -> np.ndarray:
@@ -240,27 +420,23 @@ def _merge_smallest(held: np.ndarray, cands, k: int) -> np.ndarray:
     return out
 
 
-def _neighbour_sums(k: int, sq: np.ndarray, groups: dict, codes) -> np.ndarray:
-    """Neighbour sums of query rows from their squared distances ``sq`` to a
-    bag whose label groups are ``groups`` (:func:`_label_columns`).
+def _neighbour_sums(k: int, near: np.ndarray, codes) -> np.ndarray:
+    """Neighbour sums of query rows from ``near`` (rows, groups, k), each
+    row's sorted k smallest squared distances per label group
+    (:meth:`_Neighbours.smallest`; group codes are 0, 1, ...).
 
     Returns shape (2, rows, len(codes)): for each label code in ``codes``,
     the sum of the roots of the k smallest same-label squared distances,
-    and the same over all other labels.  Each group's k smallest are taken
-    once, sorted; the k smallest of the other groups' lists together are
-    the sorted k smallest over all other columns.  Every sum therefore adds the same sorted values, whatever the
+    and the same over all other labels.  The k smallest of the other
+    groups' lists together are the sorted k smallest over all other
+    columns.  Every sum therefore adds the same sorted values, whatever the
     order of the bag, the chunk a row comes in or an entry added at or
     above the k-th smallest.  Each requested code must have k same-label
     and k other-label columns (:func:`_check_neighbours`).
     """
-    # one gather puts each group's columns together, C-ordered (sq[:, cols]
-    # would be F-ordered, on which row-wise selection is several times
-    # slower); group codes are 0, 1, ... in the order of ``groups``
-    sizes = [len(cols) for cols in groups.values()]
-    block = np.take(sq, np.concatenate(list(groups.values())), axis=1)
-    near = _smallest(block, np.cumsum([0] + sizes[:-1]), k)
-    others = [[c for c in groups if c != code] for code in codes]
-    other = np.sort(near[:, others].reshape(len(sq), len(codes), -1), axis=2)[:, :, :k]
+    m, n_groups, width = near.shape
+    others = [[c for c in range(n_groups) if c != code] for code in codes]
+    other = np.sort(near[:, others].reshape(m, len(codes), (n_groups - 1) * width), axis=2)[:, :, :k]
     return _root_sums(np.stack([near[:, codes], other]))
 
 
@@ -398,38 +574,41 @@ def knn_scores(cfg: KnnConfig, training: Bag, target: Bag, is_training_bag: bool
     both sums are zero the score is 0; when only the denominator is zero the
     largest finite float stands in for infinity.  With ``is_training_bag``
     each example is excluded from its own same-label group (otherwise its
-    zero self-distance would swamp every score): its first zero-distance
-    same-label column is set to infinity.  That one rule serves the training
-    bag itself and its sub-bags, since a score depends only on the sorted k
-    smallest values and every such column is the same zero.  The target is
-    scored in row chunks through :func:`_neighbour_sums`, the selection
-    that ``KnnClassifierMeasure.score_matrix`` uses too, so every score is
-    invariant under permutation of the training bag.
+    zero self-distance would swamp every score): one zero leaves the k + 1
+    smallest squared distances of that group, when they hold one.  That one
+    rule serves the training bag itself and its sub-bags, since a score
+    depends only on the sorted k smallest values and every such zero is the
+    same.  The k smallest come from :meth:`_Neighbours.smallest`, the
+    selection that ``KnnClassifierMeasure.score_matrix`` uses too, so every
+    score is invariant under permutation of the training bag.
     """
     codes, code_of = _label_codes(training.y)
-    groups = _label_columns(codes)
-    target_codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
-    out = np.empty(len(target))
-    for rows in _row_chunks(len(target), len(training)):
-        sq = _sq_dists_to(target.x[rows], training.feature_rows)
-        row_codes = target_codes[rows]
-        has_own = np.zeros(len(sq), dtype=bool)
-        if is_training_bag:
-            # the example itself, its first zero-distance same-label column,
-            # leaves its same-label group
-            zero = (sq == 0) & (codes[None, :] == row_codes[:, None])
-            has_own = zero.any(axis=1)
-            sq[has_own, zero.argmax(axis=1)[has_own]] = np.inf
-        present = sorted(set(row_codes.tolist()))
-        for code in present:
-            mine = row_codes == code
-            n_same = len(groups.get(code, ()))
-            n_usable = n_same - int(has_own[mine].any())
-            _check_neighbours(cfg.k, target.y[rows][mine.argmax()], n_usable, sq.shape[1] - n_same)
-        sums = _neighbour_sums(cfg.k, sq, groups, present)
-        num, den = sums[:, np.arange(len(sq)), np.searchsorted(present, row_codes)]
-        out[rows] = _ratio_scores(num, den)
-    return out
+    knn = _Neighbours(training.feature_rows, _label_columns(codes))
+    return _knn_scores(cfg.k, knn, code_of, target, is_training_bag)
+
+
+def _knn_scores(k: int, knn: "_Neighbours", code_of: dict, target: Bag, is_training_bag: bool) -> np.ndarray:
+    """:func:`knn_scores` against the bag of ``knn``, whose groups are
+    those of the label codes ``code_of``."""
+    n, sizes = knn.rows.shape[1], knn.sizes
+    codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
+    near = knn.smallest(target.x, k + int(is_training_bag))[0]
+    has_own = np.zeros(len(target), dtype=bool)
+    if is_training_bag:
+        # the example itself, a zero of its own group, leaves that group
+        known = (codes >= 0).nonzero()[0]
+        has_own[known] = near[known, codes[known], 0] == 0
+        own = has_own.nonzero()[0]
+        near[own, codes[own], :-1] = near[own, codes[own], 1:]
+        near = near[:, :, :k]
+    present = sorted(set(codes.tolist()))
+    for code in present:
+        mine = codes == code
+        n_same = sizes[code] if code >= 0 else 0
+        _check_neighbours(k, target.y[mine.argmax()], n_same - int(has_own[mine].any()), n - n_same)
+    sums = _neighbour_sums(k, near, present)
+    num, den = sums[:, np.arange(len(target)), np.searchsorted(present, codes)]
+    return _ratio_scores(num, den)
 
 
 def _label_codes(y: Sequence[Label], codes: np.ndarray | None = None, code_of: dict | None = None):
@@ -473,6 +652,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._codes = np.empty(0, dtype=int)
         self._code_of: dict = {}
         self._groups: dict = {}  # _label_columns of _codes
+        self._knn: _Neighbours | None = None  # queries against _bag by _groups
         # (near, scores) of the bag fitted by extend: near[i, 0] and
         # near[i, 1] are the sorted k smallest same-label and other-label
         # squared distances of example i to the other examples
@@ -483,10 +663,12 @@ class KnnClassifierMeasure(NonconformityMeasure):
         self._bag = bag
         self._codes, self._code_of = _label_codes(bag.y)
         self._groups = _label_columns(self._codes)
+        self._knn = _Neighbours(bag.feature_rows, self._groups)
         self._fit = None
 
     def scores(self, bag: Bag, is_training_bag: bool) -> np.ndarray:
-        return knn_scores(self.config, require_trained(self._bag, "measure"), bag, is_training_bag)
+        require_trained(self._bag, "measure")
+        return _knn_scores(self.config.k, self._knn, self._code_of, bag, is_training_bag)
 
     def extend(self, bag: Bag) -> np.ndarray:
         """Training scores of ``bag``; when it continues the bag of the last
@@ -517,7 +699,7 @@ class KnnClassifierMeasure(NonconformityMeasure):
         num, den = _root_sums(near[changed]).T
         scores[changed] = _ratio_scores(num, den)
         self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
-        self._fit, self._query = (near, scores), None
+        self._knn, self._fit, self._query = _Neighbours(bag.feature_rows, groups), (near, scores), None
         return scores.copy()
 
     def _step(self, near, codes, bag, n_old, first) -> np.ndarray:
@@ -572,10 +754,10 @@ class KnnClassifierMeasure(NonconformityMeasure):
         return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
 
     def score_matrix(self, X: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
-        """Every row paired with every candidate label, from one distance
-        block and one :func:`_neighbour_sums` per row chunk, which selects
-        each label group's k smallest squared distances once for all the
-        candidate labels, exactly as training scores select them."""
+        """Every row paired with every candidate label, from one
+        :func:`_neighbour_sums` of the rows' k smallest squared distances
+        per label group, selected once for all the candidate labels, exactly
+        as training scores select them."""
         bag, k = require_trained(self._bag, "measure"), self.config.k
         if len(bag) == 0:
             raise ValueError("empty training bag")
@@ -584,14 +766,11 @@ class KnnClassifierMeasure(NonconformityMeasure):
         for lbl, code in zip(label_space, codes):
             n_same = len(self._groups.get(code, ()))
             _check_neighbours(k, lbl, n_same, len(bag) - n_same)
-        out = np.empty((X.shape[0], len(label_space)))
-        for rows in _row_chunks(X.shape[0], len(bag)):
-            sq = _sq_dists_to(X[rows], bag.feature_rows)
-            num, den = _neighbour_sums(k, sq, self._groups, codes)
-            out[rows] = _ratio_scores(num, den)
-        if len(X) == 1:
-            self._query = _remember(bag, X, sq)
-        return out
+        near, _, row = self._knn.smallest(X, k)
+        num, den = _neighbour_sums(k, near, codes)
+        if row is not None:
+            self._query = _remember(bag, X, row)
+        return _ratio_scores(num, den)
 
 
 def _k_nearest(k: int, sq: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .data import Bag, Label, _example, check_labels_known, check_observations, require_trained
-from .ncm import _new_pairs, _remember, _resume, _row_chunks, _shared_row, _sq_dists_to
+from .ncm import _Neighbours, _new_pairs, _remember, _resume, _shared_row
 
 
 class VennTaxonomy(ABC):
@@ -99,12 +99,13 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
         self._categories: list[Hashable] = []
         self._query: tuple | None = None  # ncm._remember of the last one-row query
+        self._knn: _Neighbours | None = None  # queries against _bag
         # (the list extend returned before, the list it returned last, the
         # positions that last extend rewrote)
         self._returned: tuple = (None, None, ())
 
     def train(self, bag: Bag) -> None:
-        self._bag = bag
+        self._bag, self._knn = bag, _Neighbours(bag.feature_rows)
         self._fit = None
 
     def category(self, x: np.ndarray, y: Label, contains_x: bool) -> Hashable:
@@ -113,20 +114,24 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     def categories(
         self, X: np.ndarray, hypotheses: Sequence[Sequence[Label]], contains_x: np.ndarray
     ) -> list[list[Hashable]]:
-        """One nearest-neighbour search per row, shared by its hypotheses."""
+        """One nearest-neighbour search per row, shared by its hypotheses:
+        the row's two nearest bag observations by (distance, index).  A row
+        with ``contains_x`` skips the first when it is at distance 0 (its
+        own first zero-distance occurrence); when that leaves no bag
+        observation at a finite distance, the hypothesis label stands."""
         bag = require_trained(self._bag, "taxonomy")
         X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
         contains = np.asarray(contains_x, dtype=bool)
-        nearest = np.empty(len(X), dtype=int)
-        for rows in _row_chunks(len(X), len(bag)):
-            sq = _sq_dists_to(X[rows], bag.feature_rows)
-            nearest[rows] = _nearest(sq, contains[rows])
-        if len(X) == 1:
-            self._query = _remember(bag, X, sq)
+        near, idx, row = self._knn.smallest(X, 2, index=True)
+        at = np.arange(len(X)), 0, (contains & (near[:, 0, 0] == 0)).astype(int)
+        dist, nearest = near[at], idx[at]
+        nearest[contains & (dist == np.inf)] = -1
+        if row is not None:
+            self._query = _remember(bag, X, row)
         return [
-            list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest, hypotheses)
+            list(ys) if j < 0 else [bag.y[j]] * len(ys) for j, ys in zip(nearest.tolist(), hypotheses)
         ]
 
     def extend(self, bag: Bag) -> list[Hashable]:
@@ -138,13 +143,13 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         for rows, cols, sq, skip in _new_pairs(bag, n_old, first=None if query is None else query[2]):
             _merge_nearest(nearest, dist, rows, cols, sq)
             redo.append(_merge_nearest(nearest, dist, slice(cols.start + skip, cols.stop), rows, sq[:, skip:].T))
-        # the merge skips each example itself, _nearest its first
+        # the merge skips each example itself, ``categories`` its first
         # zero-distance occurrence: they differ for a new example r with a
         # zero-distance one at a lower index.  Then j = nearest[r] is the
-        # first occurrence of r's duplicates, and _nearest skips j and keeps
-        # the lowest other index at distance 0, which the merge gave j.  (The
-        # held examples already hold what _nearest gave them, and a later
-        # example never comes strictly closer than distance 0.)
+        # first occurrence of r's duplicates, and ``categories`` skips j and
+        # keeps the lowest other index at distance 0, which the merge gave j.
+        # (The held examples already hold what ``categories`` gave them, and
+        # a later example never comes strictly closer than distance 0.)
         dup = new[(dist[n_old:] == 0) & (nearest[n_old:] < new)]
         nearest[dup] = nearest[nearest[dup]]
         categories = self._categories[:n_old] + [None] * len(new)
@@ -152,6 +157,7 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         for i, j in zip(redo, nearest[redo].tolist()):
             categories[i] = bag.y[i] if j < 0 else bag.y[j]
         self._bag, self._fit, self._categories, self._query = bag, (nearest, dist), categories, None
+        self._knn = _Neighbours(bag.feature_rows)
         out = list(categories)
         self._returned = (self._returned[1], out, redo)
         return out
@@ -172,23 +178,6 @@ def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: sli
     nearest[at] = cols.start + best[closer]
     dist[at] = d[closer]
     return at
-
-
-def _nearest(sq: np.ndarray, contains: np.ndarray) -> np.ndarray:
-    """Column of each row's nearest bag observation, from the row's squared
-    distances ``sq`` to the bag, which are left as they are.
-
-    A row with ``contains`` skips its first zero-distance column; when that
-    leaves no bag observation the column is -1 (fall back to the hypothesis
-    label).
-    """
-    zero = sq == 0
-    own = contains & zero.any(axis=1)
-    if own.any():
-        sq = sq.copy()
-        sq[own, zero.argmax(axis=1)[own]] = np.inf
-    closest = sq.argmin(axis=1)
-    return np.where(contains & ~np.isfinite(sq[np.arange(len(sq)), closest]), -1, closest)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from conformal import (
     knn_scores,
     label_taxonomy,
 )
-from conformal import ncm, venn
-from conformal.ncm import _neighbour_sums
+from conformal import ncm
+from conformal.ncm import _neighbour_sums, _smallest
 
 LABELS = ("A", "B", "C")
 EPSILONS = (0.05, 0.2)
@@ -234,7 +234,7 @@ def test_property_fits_and_extends_equal_knn_scores(seed, k, n, chunks, block):
 
 def spy_on_kernel(monkeypatch):
     """The entries of every distance block the kernel computes from now on
-    (in ``ncm`` and in ``venn``, which imports it); each bag side must keep
+    (every kNN plug-in calls it through ``ncm``); each bag side must keep
     its feature rows contiguous, as the kernel's per-feature passes read
     them (a strided row is several times slower)."""
     entries = []
@@ -246,7 +246,6 @@ def spy_on_kernel(monkeypatch):
 
     sq_dists_to = ncm._sq_dists_to
     monkeypatch.setattr(ncm, "_sq_dists_to", spy)
-    monkeypatch.setattr(venn, "_sq_dists_to", spy)
     return entries
 
 
@@ -656,10 +655,11 @@ def k_smallest(sq, k):
     """Each row's neighbour sum over its k smallest entries, as
     :func:`_neighbour_sums` computes it once as the same-label group
     (numerator) and once as the other labels (denominator) of a bag with a
-    second group of k ones."""
+    second group of k ones, from the lists that ``_smallest`` takes from
+    the whole block."""
     w = sq.shape[1]
     block = np.hstack([sq, np.ones((len(sq), k))])
-    num, den = _neighbour_sums(k, block, {0: np.arange(w), 1: w + np.arange(k)}, [0, 1])
+    num, den = _neighbour_sums(k, _smallest(block, [0, w], k), [0, 1])
     assert same_bits(num[:, 0], den[:, 1])
     return num[:, 0]
 

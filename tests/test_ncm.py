@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import conformal.cli as cli
 import conformal.ncm as ncm
 from _support import sq_dists_oracle
 from conformal import (
@@ -14,6 +17,7 @@ from conformal import (
     KnnRegressionProvider,
     ModelOutputAdapterConfig,
     ModelOutputMeasure,
+    NearestNeighborTaxonomy,
     cart_score,
     cart_train,
     knn_regression_coeffs,
@@ -172,6 +176,123 @@ class TestDistanceKernel:
         monkeypatch.setattr(np, "multiply", spy)
         ncm._sq_dists_to(rng.standard_normal((1, 3)), rng.standard_normal((3, 50)))
         assert seen == [np.getbufsize()]
+
+
+@st.composite
+def knn_queries(draw):
+    """(queries, bag, label codes, k) for the two-stage query: 2-8 query
+    rows and 1-40 bag rows in 0, 1 or 16 features, on an integer grid (ties
+    at every k-th place) or spread, offset by 1e8, tiny (1e-160, some
+    entries subnormal) or large enough that stage 1 could overflow while the
+    kernel does not; duplicate bag rows and queries that copy bag rows; up
+    to 4 label groups, some smaller than k."""
+    d, n, m, k = draw(st.sampled_from([0, 1, 16])), draw(st.integers(1, 40)), draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "spread", "offset", "tiny", "large"]))
+    if kind == "grid":
+        rows = rng.integers(-2, 3, size=(m + n, d)).astype(float)
+    else:
+        rows = rng.standard_normal((m + n, d))
+    if kind == "offset":
+        rows += 1e8
+    elif kind == "tiny":
+        rows *= 1e-160
+        rows[rng.random(rows.shape) < 0.2] *= 1e-150
+    elif kind == "large":
+        # |a - b| <= 2M keeps every distance finite, but the centred norms
+        # pass the bound below which no stage-1 term can overflow
+        big = np.sqrt(np.finfo(float).max / (6 * max(d, 1)))
+        rows = big * rng.uniform(0.5, 1.0, size=rows.shape) * rng.choice([-1.0, 1.0], size=rows.shape)
+    bag = rows[m:]
+    bag[draw(st.lists(st.integers(0, n - 1), max_size=3))] = bag[0]
+    queries = rows[:m]
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=m))
+    queries[: len(copies)] = bag[copies]
+    codes = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    return queries, bag, codes, k
+
+
+def stable_oracle(queries, bag, groups, k):
+    """Per row and group, the k nearest (squared distance, column) pairs of
+    the kernel's whole block by a stable argsort, padded with (inf, -1)."""
+    sq = ncm._pairwise_sq_dists(queries, bag)
+    vals = np.full((len(queries), len(groups), k), np.inf)
+    idx = np.full(vals.shape, -1)
+    for g, cols in enumerate(groups):
+        pick = np.argsort(sq[:, cols], axis=1, kind="stable")[:, :k]
+        vals[:, g, : pick.shape[1]] = np.take_along_axis(sq[:, cols], pick, axis=1)
+        idx[:, g, : pick.shape[1]] = cols[pick]
+    return vals, idx
+
+
+class TestTwoStageQuery:
+    """Batch k-nearest queries through the matrix-product bound and the
+    per-feature refinement give the bits of the kernel's whole block."""
+
+    PATHS = {"exact": 1 << 62, "two-stage": 0}
+
+    def run(self, path, query):
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a fallback is silent
+            patch.setattr(ncm, "_TWO_STAGE_ENTRIES", self.PATHS[path])
+            return query()
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=knn_queries())
+    def test_equals_the_stable_oracle(self, case):
+        queries, bag, codes, k = case
+        groups = ncm._label_columns(codes)
+        rows = ncm._feature_rows(bag)
+        by_label = stable_oracle(queries, bag, list(groups.values()), k + 1)
+        for path in self.PATHS:
+            # the k smallest per label group, and k + 1 (the own-row exclusion)
+            for width in (k, k + 1):
+                vals, idx, _ = self.run(path, lambda: ncm._Neighbours(rows, groups).smallest(queries, width))
+                assert idx is None and vals.tobytes() == by_label[0][:, :, :width].tobytes()
+            # the k nearest by (distance, index), and the two nearest
+            for width in (k, 2):
+                vals, idx, _ = self.run(path, lambda: ncm._Neighbours(rows).smallest(queries, width, index=True))
+                oracle = stable_oracle(queries, bag, [np.arange(len(bag))], width)
+                assert vals.tobytes() == oracle[0].tobytes() and np.array_equal(idx, oracle[1])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_argmin_passes_equal_a_stable_argsort(self, k):
+        # the whole-block (distance, index) selection, also where kernel
+        # distances overflowed to infinity
+        rng = np.random.default_rng(k)
+        for width in (1, k, 3 * k + 5):
+            block = rng.integers(0, 4, size=(30, width)).astype(float)
+            block[rng.random(block.shape) < 0.3] = np.inf
+            vals, cols = ncm._argmin_passes(block, k)
+            want = np.argsort(block, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(cols, want)
+            assert vals.tobytes() == np.take_along_axis(block, want, axis=1).tobytes()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=knn_queries())
+    def test_consumers_agree_with_the_exact_path(self, case):
+        queries, bag, codes, k = case
+        labels = tuple("ABCD"[c] for c in codes)
+        training = Bag.classification(bag, labels, tuple("ABCD"))
+        target = Bag.classification(np.vstack([queries, bag]), labels[:1] * len(queries) + labels, tuple("ABCD"))
+        got = {}
+        for path in self.PATHS:
+            out = []
+            for own in (False, True):
+                of = training if own else target
+                try:
+                    out.append(self.run(path, lambda: knn_scores(KnnConfig(k=k), training, of, own)).tobytes())
+                except ValueError as exc:
+                    out.append(str(exc))
+            taxonomy = NearestNeighborTaxonomy()
+            taxonomy.train(training)
+            contains = np.arange(len(target)) % 2 == 0
+            out.append(self.run(path, lambda: taxonomy.categories(target.x, [("A", "B")] * len(target), contains)))
+            vote = cli._KnnBase(KnnConfig(k=k))
+            vote.fit(bag, labels)
+            out.append(self.run(path, lambda: vote.predict(target.x)))
+            got[path] = out
+        assert got["exact"] == got["two-stage"]
 
 
 class TestKnnScores:

@@ -11,7 +11,9 @@ inside the calls, and must give the serial results.
 
 A one-row query also leaves its distance row on the kNN plug-in for the
 next absorbed step to merge.  Whichever thread's row is left, absorbing
-must give the bits of a twin that was never queried.
+must give the bits of a twin that was never queried.  A large batch query
+keeps the centred rows of the plug-in's bag; threads that query a fresh
+plug-in at once may each compute them.
 """
 
 import sys
@@ -19,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+import conformal.ncm as ncm
 from _support import gaussian_blobs, linear_regression_bag
 from conformal import (
     ConformalClassifier,
@@ -35,6 +38,7 @@ from conformal import (
     VennPredictor,
     label_taxonomy,
 )
+from conformal.cli import _KnnBase
 
 THREADS = 4
 ROUNDS = 3
@@ -185,3 +189,37 @@ def test_queries_leave_absorbed_bits_unchanged():
     assert venn._categories == twin[1]._categories
     assert venn._label_counts.tobytes() == twin[1]._label_counts.tobytes()
     assert rrcm._lines.tobytes() == twin[2]._lines.tobytes()
+
+
+def test_two_stage_queries_race_on_the_kept_centred_rows():
+    # a kNN plug-in computes the centred rows of its bag on its first
+    # two-stage query; threads that query a fresh plug-in at once may each
+    # compute them, and every result must be the bits of a serial twin
+    centers = np.eye(16)[:3] * 2.0
+    bag = gaussian_blobs(800, seed=130, centers=centers, labels=("A", "B", "C"))
+    queries = [
+        np.vstack([gaussian_blobs(16, seed=131 + i, centers=centers, labels=("A", "B", "C")).x, bag.x[i::200]])
+        for i in range(THREADS)
+    ]
+    assert all(q.shape[0] * q.shape[1] * len(bag) >= ncm._TWO_STAGE_ENTRIES for q in queries)
+    contains = [np.arange(len(q)) >= 16 for q in queries]
+    hypotheses = [[("A", "B", "C")] * len(q) for q in queries]
+
+    def build():
+        measure, taxonomy, vote = KnnClassifierMeasure(KnnConfig(k=3)), NearestNeighborTaxonomy(), _KnnBase(KnnConfig(k=3))
+        measure.train(bag)
+        taxonomy.train(bag)
+        vote.fit(bag.x, bag.y)
+        return measure, taxonomy, vote
+
+    def task(plug_ins, i):
+        measure, taxonomy, vote = plug_ins
+        return (measure.score_matrix(queries[i], bag.label_space).tobytes(),
+                taxonomy.categories(queries[i], hypotheses[i], contains[i]), vote.predict(queries[i]))
+
+    twin = build()
+    serial = [task(twin, i) for i in range(THREADS)]
+    for _ in range(ROUNDS):
+        fresh = build()
+        for row in run_concurrently(lambda i: task(fresh, i)):
+            assert row == serial
