@@ -102,12 +102,13 @@ def category_p_values(
     holding no scores.
     """
     m, n_labels = alpha.shape
-    groups: dict[Hashable, list[int] | slice] = {}
+    groups: dict[Hashable, list[int] | slice]
     if taxonomy is constant_taxonomy:
-        groups[constant_taxonomy(None, None)] = slice(None)
+        groups = {constant_taxonomy(None, None): slice(None)}
     elif taxonomy is label_taxonomy:
         groups = {y: slice(j, None, n_labels) for j, y in enumerate(labels)}
     else:
+        groups = {}
         for i, x in enumerate(X):
             for j, y in enumerate(labels):
                 groups.setdefault(taxonomy(x, y), []).append(i * n_labels + j)
@@ -374,7 +375,7 @@ class ConformalClassifier(ScoreStoreClassifier):
         sets: list[PredictionSet] = []
         true_p: list[float] = []
         for i in range(len(stream)):
-            # the whole stream is checked, so the step's row is not again
+            # the stream was checked whole, so its rows are not checked again
             vals, _, labels = self._count(stream.x[i : i + 1], rng, include_test=True, checked=True)
             table = PValueTable(vals, labels)
             sets.append(sets_from_p_values(table, self.config.epsilons)[0])

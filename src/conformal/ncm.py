@@ -239,13 +239,14 @@ def _argmin_passes(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     k passes of ``argmin``, each setting its pick to infinity, exact while
     the picks are finite; a row with an infinite pick takes the stable
     ``argsort`` (:func:`_k_nearest`)."""
-    part, at = block.copy(), np.arange(len(block))
     shape = (len(block), min(k, block.shape[1]))
+    part, at = block.copy() if shape[1] > 1 else block, np.arange(len(block))
     vals, cols = np.empty(shape), np.empty(shape, dtype=int)
     for j in range(shape[1]):
         cols[:, j] = pick = part.argmin(axis=1)
         vals[:, j] = part[at, pick]
-        part[at, pick] = np.inf
+        if j + 1 < shape[1]:
+            part[at, pick] = np.inf
     bad = vals[:, -1] == np.inf  # the picks ascend
     if bad.any():
         cols[bad] = _k_nearest(k, block[bad])
@@ -255,8 +256,8 @@ def _argmin_passes(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _candidates(block: np.ndarray, starts, sizes, k: int, slack) -> tuple[np.ndarray, np.ndarray]:
     """Positions (row, column) of the entries of ``block`` at most each row's
-    k-th smallest entry plus ``slack`` (a scalar or one value per row) within
-    each group of ``sizes`` consecutive columns starting at ``starts``; every
+    k-th smallest entry plus its ``slack`` (shape (rows, 1)) within each
+    group of ``sizes`` consecutive columns starting at ``starts``; every
     entry of a group of at most k columns.  Row-major, columns ascending."""
     if k == 1:
         bound = np.minimum.reduceat(block, starts, axis=1)
@@ -338,23 +339,23 @@ class _Neighbours:
             got = None
             if len(rows) >= 2 and d and n and len(rows) * d * n >= _TWO_STAGE_ENTRIES:
                 got = self._two_stage(rows, k)
-            if got is None:
-                block = _sq_dists_to(rows, self.rows)
-                full = block if self.cols is None else np.take(block, self.cols, axis=1)
-                if idx is None:
-                    vals[chunk] = _smallest(full, self.starts, k)
-                    continue
-                for g, (lo, size) in enumerate(zip(self.starts, self.sizes)):
-                    near, cols = _argmin_passes(full[:, lo : lo + size], k)
-                    vals[chunk, g, : cols.shape[1]] = near
-                    idx[chunk, g, : cols.shape[1]] = lo + cols if self.cols is None else self.cols[lo + cols]
+            if got is not None:
+                r, c, sq = got
+                slots = (r + chunk.start) * len(self.starts)
+                if self.cols is not None:
+                    slots += np.searchsorted(self.starts, c, side="right") - 1
+                    c = self.cols[c]
+                _select(vals, idx, slots, sq, c)
                 continue
-            r, c, sq = got
-            slots = (r + chunk.start) * len(self.starts)
-            if self.cols is not None:
-                slots += np.searchsorted(self.starts, c, side="right") - 1
-                c = self.cols[c]
-            _select(vals, idx, slots, sq, c)
+            block = _sq_dists_to(rows, self.rows)
+            full = block if self.cols is None else np.take(block, self.cols, axis=1)
+            if idx is None:
+                vals[chunk] = _smallest(full, self.starts, k)
+                continue
+            for g, (lo, size) in enumerate(zip(self.starts, self.sizes)):
+                near, cols = _argmin_passes(full[:, lo : lo + size], k)
+                vals[chunk, g, : cols.shape[1]] = near
+                idx[chunk, g, : cols.shape[1]] = lo + cols if self.cols is None else self.cols[lo + cols]
         return vals, idx, block if m == 1 else None
 
     def _two_stage(self, X: np.ndarray, k: int) -> tuple | None:

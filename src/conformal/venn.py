@@ -115,19 +115,23 @@ class NearestNeighborTaxonomy(VennTaxonomy):
         self, X: np.ndarray, hypotheses: Sequence[Sequence[Label]], contains_x: np.ndarray
     ) -> list[list[Hashable]]:
         """One nearest-neighbour search per row, shared by its hypotheses:
-        the row's two nearest bag observations by (distance, index).  A row
-        with ``contains_x`` skips the first when it is at distance 0 (its
-        own first zero-distance occurrence); when that leaves no bag
+        the row's two nearest bag observations by (distance, index), or
+        only the nearest when no row has ``contains_x``.  A row with
+        ``contains_x`` skips the first when it is at distance 0 (its own
+        first zero-distance occurrence); when that leaves no bag
         observation at a finite distance, the hypothesis label stands."""
         bag = require_trained(self._bag, "taxonomy")
         X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
         contains = np.asarray(contains_x, dtype=bool)
-        near, idx, row = self._knn.smallest(X, 2, index=True)
-        at = np.arange(len(X)), 0, (contains & (near[:, 0, 0] == 0)).astype(int)
-        dist, nearest = near[at], idx[at]
-        nearest[contains & (dist == np.inf)] = -1
+        own = bool(contains.any())
+        near, idx, row = self._knn.smallest(X, 1 + own, index=True)
+        nearest = idx[:, 0, 0]
+        if own:
+            at = np.arange(len(X)), 0, (contains & (near[:, 0, 0] == 0)).astype(int)
+            nearest = idx[at]
+            nearest[contains & (near[at] == np.inf)] = -1
         if row is not None:
             self._query = _remember(bag, X, row)
         return [

@@ -186,7 +186,8 @@ def knn_queries(draw):
     entries subnormal) or large enough that stage 1 could overflow while the
     kernel does not; duplicate bag rows and queries that copy bag rows; up
     to 4 label groups, some smaller than k."""
-    d, n, m, k = draw(st.sampled_from([0, 1, 16])), draw(st.integers(1, 40)), draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    d, n = draw(st.sampled_from([0, 1, 16])), draw(st.integers(1, 40))
+    m, k = draw(st.integers(2, 8)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["grid", "spread", "offset", "tiny", "large"]))
     if kind == "grid":

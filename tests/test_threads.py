@@ -206,7 +206,8 @@ def test_two_stage_queries_race_on_the_kept_centred_rows():
     hypotheses = [[("A", "B", "C")] * len(q) for q in queries]
 
     def build():
-        measure, taxonomy, vote = KnnClassifierMeasure(KnnConfig(k=3)), NearestNeighborTaxonomy(), _KnnBase(KnnConfig(k=3))
+        measure, taxonomy = KnnClassifierMeasure(KnnConfig(k=3)), NearestNeighborTaxonomy()
+        vote = _KnnBase(KnnConfig(k=3))
         measure.train(bag)
         taxonomy.train(bag)
         vote.fit(bag.x, bag.y)
