@@ -309,8 +309,8 @@ class _Neighbours:
     norms and the kernel's own rounding in any summation order, so every
     entry that can be among the k smallest is kept.  Stage 2 computes the
     kept entries with the kernel's per-feature sum, so no output bit depends
-    on the product.  A chunk whose product could overflow (a bound that is
-    not finite among them), and every other chunk, select from the kernel's
+    on the product.  Every other chunk, and one whose product could overflow
+    (a bound that is not finite among them), selects from the kernel's
     whole block.
     """
 
@@ -340,12 +340,11 @@ class _Neighbours:
             if len(rows) >= 2 and d and n and len(rows) * d * n >= _TWO_STAGE_ENTRIES:
                 got = self._two_stage(rows, k)
             if got is not None:
-                r, c, sq = got
+                r, c, cols, sq = got
                 slots = (r + chunk.start) * len(self.starts)
                 if self.cols is not None:
                     slots += np.searchsorted(self.starts, c, side="right") - 1
-                    c = self.cols[c]
-                _select(vals, idx, slots, sq, c)
+                _select(vals, idx, slots, sq, cols)
                 continue
             block = _sq_dists_to(rows, self.rows)
             full = block if self.cols is None else np.take(block, self.cols, axis=1)
@@ -359,8 +358,9 @@ class _Neighbours:
         return vals, idx, block if m == 1 else None
 
     def _two_stage(self, X: np.ndarray, k: int) -> tuple | None:
-        """``(rows, positions, squared distances)`` of the candidates of the
-        query rows ``X``, or None when stage 1 could overflow."""
+        """``(rows, positions, bag columns, squared distances)`` of the
+        candidates of the query rows ``X``, or None when stage 1 could
+        overflow."""
         centre, product, top = self._centred or self._centre()
         d = X.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -384,7 +384,7 @@ class _Neighbours:
         # in turn, as the kernel does (an F-ordered block is summed pairwise)
         diff = np.subtract(np.take(X.T, r, axis=1), np.take(self.rows, cols, axis=1))
         np.multiply(diff, diff, out=diff)
-        return r, c, np.add.reduce(diff, axis=0)
+        return r, c, cols, np.add.reduce(diff, axis=0)
 
     def _centre(self) -> tuple:
         b = self.rows if self.cols is None else np.take(self.rows, self.cols, axis=1)
