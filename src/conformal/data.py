@@ -53,7 +53,10 @@ class Bag:
     is empty for regression bags, whose labels are finite reals.  Insertion
     order is stored only to keep smoothing and reporting reproducible --
     every predictor output is invariant under permutation of the bag.
-    Bags are immutable after construction and safe to share across threads.
+    ``x`` and :attr:`feature_rows` are read-only views, and ``y`` and
+    ``label_space`` are tuples, so no method changes a bag and bags are safe
+    to share across threads; writing through a view's ``.base`` is
+    unsupported (numpy lets the owner of the data turn writing back on).
 
     A bag made by :meth:`append` remembers, through a weak reference, the
     bag it extended, so :meth:`starts_with` answers for that bag in O(1)

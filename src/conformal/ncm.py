@@ -117,16 +117,6 @@ _BLOCK_ENTRIES = 1 << 16
 #: single block would push out of cache, keep the per-feature loop.
 _REDUCE_ENTRIES = 1 << 15
 
-#: Most new-to-held distances (new rows x held rows) of a step that
-#: ``KnnClassifierMeasure.extend`` merges in bag order by a label-code mask;
-#: larger steps, and every fit from nothing, merge in label order.  Measured
-#: on 16 features, k = 1 and 3, 300-3,000 held rows (2-vCPU Xeon, numpy
-#: 2.4.6): the mask merge takes 0.4-0.7x the time of the label-order merge
-#: up to 2^14 distances and 0.8-0.9x at 64,000, 1.0-1.4x at 77,000-96,000
-#: and 1.1-1.8x from 128,000; on fits from nothing of 1,000-4,000 rows,
-#: 1.3-1.7x.
-_STEP_ENTRIES = 1 << 16
-
 #: Ufunc buffer size (elements) set around the per-feature loop.  With
 #: numpy's default of 8192, a broadcast subtract against a bag of fewer than
 #: about 2731 rows is buffered across rows, about 4x slower per entry.
@@ -401,23 +391,18 @@ def _root_sums(sq: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, order="C").sum(axis=-1)
 
 
-def _merge_smallest(held: np.ndarray, cands, k: int) -> np.ndarray:
+def _merge_smallest(held: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
     """Per row, the k smallest of a row of ``held`` (sorted, k wide) and of
-    the same rows of the candidate blocks ``cands`` together, sorted, as
-    :func:`_smallest` selects them.  A row is a position on the leading
-    axes; its entries lie along the last axis."""
-    cands = [c for c in cands if c.shape[-1]]
+    the same row of ``cand`` together, sorted, as :func:`_smallest` selects
+    them.  A row is a position on the leading axes; its entries lie along
+    the last axis."""
     if k == 1:
-        for c in cands:
-            held = np.minimum(held, c.min(axis=-1, keepdims=True))
-        return held
+        return np.minimum(held, cand.min(axis=-1, keepdims=True))
     # only a row with a candidate below its k-th smallest changes
-    hit = np.zeros(held.shape[:-1], dtype=bool)
-    for c in cands:
-        hit |= (c < held[..., -1:]).any(axis=-1)
-    parts = [c[hit] if c.shape[-1] <= k else np.partition(c[hit], k - 1, axis=1)[:, :k] for c in cands]
+    hit = (cand < held[..., -1:]).any(axis=-1)
+    part = cand[hit] if cand.shape[-1] <= k else np.partition(cand[hit], k - 1, axis=1)[:, :k]
     out = held.copy()
-    out[hit] = np.sort(np.concatenate([held[hit], *parts], axis=1), axis=1)[:, :k]
+    out[hit] = np.sort(np.concatenate([held[hit], part], axis=1), axis=1)[:, :k]
     return out
 
 
@@ -461,12 +446,14 @@ def _check_neighbours(k: int, lbl: Label, n_same: int, n_other: int) -> None:
 def _resume(held: Bag | None, fit, bag: Bag, empty) -> tuple:
     """``(n_old, arrays)``.  ``n_old`` is ``len(held)`` when ``bag`` starts
     with exactly the examples of ``held`` (:meth:`Bag.starts_with`), the bag
-    that ``fit`` (None: nothing usable) was made for; otherwise it is 0 and
-    ``empty`` stands in for ``fit``.  ``arrays`` are new copies of the fit's
-    arrays, each grown along its first axis to ``len(bag)`` entries, the new
-    entries unset."""
+    that ``fit`` (None: nothing usable) was made for, and adds no more
+    examples than ``held`` has; otherwise it is 0 (the plug-in fits from
+    nothing, with one query of the bag against itself) and ``empty`` stands
+    in for ``fit``.  ``arrays`` are new copies of the fit's arrays, each
+    grown along its first axis to ``len(bag)`` entries, the new entries
+    unset."""
     n = 0 if fit is None else len(held)
-    if fit is None or not bag.starts_with(held):
+    if fit is None or len(bag) > 2 * n or not bag.starts_with(held):
         n, fit = 0, empty
     new = len(bag) - n
     return n, tuple(np.concatenate([f, np.empty((new,) + f.shape[1:], f.dtype)]) for f in fit)
@@ -494,49 +481,31 @@ def _shared_row(query: tuple | None, held: Bag | None, bag: Bag, n_old: int) -> 
     return query if query[1].tobytes() == bag.x[n_old].tobytes() else None
 
 
-def _new_pairs(bag: Bag, n_old: int, order=None, stops=(), first=None):
-    """The squared distances of every pair of examples of ``bag`` (taken in
-    ``order`` when given) that holds a new one (position ``n_old`` or
-    above), each computed once, as blocks ``(rows, cols, sq, skip)``: ``sq``
-    holds the distances of the positions in slice ``rows`` to those in slice
-    ``cols``.  A consumer merges a block into its rows, and through its
-    transpose into the columns from ``cols.start + skip`` on; the columns
-    before those are the block's own rows, whose diagonal is infinity.  No
-    block's rows cross a position in ``stops``.  ``first``, the distances
-    (1, n_old) of a one-row step's new example to the held ones that the
-    caller already holds (:func:`_shared_row`), is the only block.
-
-    The new rows meet the old ones in row chunks, then each other in
-    symmetric tiles: row chunks whose columns start at the chunk's first
-    row.  A fit from nothing thus computes n(n+1)/2 distances, plus the
-    lower triangles of its tiles (half a tile at most), instead of n².  That
-    :func:`_sq_dists_to` is bitwise symmetric (fl(a-b) = -fl(b-a), squares
-    added in feature order on both paths) makes the transpose exact.  Each
-    row meets the columns of its blocks in ascending order, so a merge that
-    keeps the first of equal candidates keeps the lowest index.
+def _new_pairs(bag: Bag, n_old: int, first=None):
+    """The squared distances of a step's new examples (positions ``n_old``
+    and above) to the bag, as blocks ``(rows, cols, sq)``: ``sq`` holds the
+    distances of the positions in slice ``rows`` to those in slice
+    ``cols``, each row's own at infinity.  Several new examples meet the
+    whole bag in row chunks; a lone one meets only the held examples (its
+    own column, the last, would sort after all of them), and ``first``, its
+    distances (1, n_old) that the caller already holds (:func:`_shared_row`),
+    is then the only block.  A consumer merges a block into its rows' own
+    lists and, through its transpose, into those of the held examples (the
+    columns below ``n_old``).  That :func:`_sq_dists_to` is bitwise
+    symmetric (fl(a-b) = -fl(b-a), squares added in feature order on every
+    path) makes the transpose exact.
     """
+    n = len(bag)
+    cols = slice(0, n if n - n_old > 1 else n_old)
     if first is not None:
-        yield slice(n_old, n_old + 1), slice(0, n_old), first, 0
+        yield slice(n_old, n), cols, first
         return
-    x, bag_rows = bag.x, bag.feature_rows
-    if order is not None:
-        # np.take keeps the rows C-ordered (bag_rows[:, order] is F-ordered)
-        x, bag_rows = x[order], np.take(bag_rows, order, axis=1)
-    n = len(x)
-    bounds = sorted({n_old, n, *(int(s) for s in stops if n_old < s < n)})
-    parts = list(zip(bounds, bounds[1:]))
-    if n_old:
-        for lo, hi in parts:
-            for chunk in _row_chunks(hi - lo, n_old):
-                rows = slice(lo + chunk.start, min(hi, lo + chunk.stop))
-                yield rows, slice(0, n_old), _sq_dists_to(x[rows], bag_rows[:, :n_old]), 0
-    for lo, end in parts:
-        for chunk in _row_chunks(end - lo, n):
-            rows = slice(lo + chunk.start, min(end, lo + chunk.stop))
-            if rows.start < n - 1:
-                sq = _sq_dists_to(x[rows], bag_rows[:, rows.start:])
-                np.fill_diagonal(sq, np.inf)
-                yield rows, slice(rows.start, n), sq, len(sq)
+    for chunk in _row_chunks(n - n_old, cols.stop):
+        rows = slice(n_old + chunk.start, min(n, n_old + chunk.stop))
+        sq = _sq_dists_to(bag.x[rows], bag.feature_rows[:, cols])
+        if cols.stop == n:
+            sq[np.arange(len(sq)), np.arange(rows.start, rows.stop)] = np.inf
+        yield rows, cols, sq
 
 
 @dataclass(frozen=True)
@@ -593,23 +562,33 @@ def _knn_scores(k: int, knn: "_Neighbours", code_of: dict, target: Bag, is_train
     those of the label codes ``code_of``."""
     n, sizes = knn.rows.shape[1], knn.sizes
     codes = np.fromiter((code_of.get(v, -1) for v in target.y), dtype=int, count=len(target))
-    near = knn.smallest(target.x, k + int(is_training_bag))[0]
-    has_own = np.zeros(len(target), dtype=bool)
-    if is_training_bag:
-        # the example itself, a zero of its own group, leaves that group
-        known = (codes >= 0).nonzero()[0]
-        has_own[known] = near[known, codes[known], 0] == 0
-        own = has_own.nonzero()[0]
-        near[own, codes[own], :-1] = near[own, codes[own], 1:]
-        near = near[:, :, :k]
-    present = sorted(set(codes.tolist()))
-    for code in present:
+    near, has_own = _labelled_lists(k, knn, codes, target.x, is_training_bag)
+    for code in sorted(set(codes.tolist())):
         mine = codes == code
         n_same = sizes[code] if code >= 0 else 0
         _check_neighbours(k, target.y[mine.argmax()], n_same - int(has_own[mine].any()), n - n_same)
-    sums = _neighbour_sums(k, near, present)
-    num, den = sums[:, np.arange(len(target)), np.searchsorted(present, codes)]
+    num, den = _root_sums(near).T
     return _ratio_scores(num, den)
+
+
+def _labelled_lists(k: int, knn: "_Neighbours", codes: np.ndarray, X: np.ndarray, is_training_bag: bool) -> tuple:
+    """``(near, has_own)``.  ``near[i, 0]`` and ``near[i, 1]`` (shape (rows,
+    2, k)) are row i's sorted k smallest squared distances to the bag
+    columns of its label code ``codes[i]`` and to those of every other
+    label: the k smallest of the other groups' lists together.  With
+    ``is_training_bag`` the query takes k + 1 per group, and a row whose own
+    group starts with a zero (``has_own``) drops it: the example itself.
+    Rows of an unknown code (-1) hold no usable lists."""
+    near = knn.smallest(X, k + int(is_training_bag))[0]
+    at = np.arange(len(X))
+    same = near[at, codes]
+    has_own = np.zeros(len(X), dtype=bool)
+    if is_training_bag:
+        has_own = (codes >= 0) & (same[:, 0] == 0)
+        same = np.where(has_own[:, None], same[:, 1:], same[:, :-1])
+    near[at, codes] = np.inf
+    other = np.sort(near.reshape(-1, near.shape[1] * near.shape[2]), axis=1)[:, :k]
+    return np.stack([same, other], axis=1), has_own
 
 
 def _label_codes(y: Sequence[Label], codes: np.ndarray | None = None, code_of: dict | None = None):
@@ -638,10 +617,12 @@ class KnnClassifierMeasure(NonconformityMeasure):
     ``scores`` and ``score_matrix`` take the k nearest through one sorted
     selection per label group (:func:`_neighbour_sums`).  ``extend`` keeps,
     for each example of the bag it fits, its sorted k smallest same-label
-    and other-label squared distances (O(n·k) floats) and its score.  It
-    merges the distances of each new example into them (:func:`_new_pairs`),
-    so a step that continues the fitted bag computes only the new examples'
-    distances, and a fit from nothing each distance once.  A one-row
+    and other-label squared distances (O(n·k) floats) and its score.  A fit
+    from nothing takes them from one query of the bag against itself, the
+    one ``scores(bag, True)`` makes (:func:`_labelled_lists`).  A step that
+    continues the fitted bag computes only the new examples' distances
+    (:func:`_new_pairs`) and merges them into the new examples' lists and,
+    through the transpose, into the held lists they enter.  A one-row
     ``score_matrix`` remembers its distance row, and a one-row step that
     absorbs that row merges it instead of computing it again; the step then
     rescores only the new example and the held ones it enters.
@@ -686,70 +667,42 @@ class KnnClassifierMeasure(NonconformityMeasure):
         empty = (np.empty((0, 2, k)), np.empty(0))
         n_old, (near, scores) = _resume(self._bag, self._fit, bag, empty)
         codes, code_of = _label_codes(bag.y[n_old:], self._codes[:n_old], self._code_of if n_old else None)
-        held = self._groups if n_old else {}
-        groups = _label_columns(codes[n_old:], held)
+        groups = _label_columns(codes[n_old:], self._groups if n_old else None)
         for cols in groups.values():
             _check_neighbours(k, bag.y[cols[0]], len(cols) - 1, len(bag) - len(cols))
-        near[n_old:] = np.inf
-        if n_old and (len(bag) - n_old) * n_old <= _STEP_ENTRIES:
+        knn = _Neighbours(bag.feature_rows, groups)
+        if n_old:
             query = _shared_row(self._query, self._bag, bag, n_old)
+            near[n_old:] = np.inf
             changed = self._step(near, codes, bag, n_old, None if query is None else query[2])
         else:
-            self._merge_by_label(near, codes, held, groups, bag, n_old)
-            changed = slice(None)
+            near, changed = _labelled_lists(k, knn, codes, bag.x, True)[0], slice(None)
         num, den = _root_sums(near[changed]).T
         scores[changed] = _ratio_scores(num, den)
         self._bag, self._codes, self._code_of, self._groups = bag, codes, code_of, groups
-        self._knn, self._fit, self._query = _Neighbours(bag.feature_rows, groups), (near, scores), None
+        self._knn, self._fit, self._query = knn, (near, scores), None
         return scores.copy()
 
     def _step(self, near, codes, bag, n_old, first) -> np.ndarray:
-        """Merge the distances of a few new examples into ``near`` in bag
-        order: each block is split into same-label and other-label
-        candidates by a label-code mask, then merged into its rows and,
-        through its transpose, into the columns it enters (strictly below
-        their k-th).  ``first`` is :func:`_new_pairs`'s.  Returns the
+        """Merge the new examples' distances (:func:`_new_pairs`, whose
+        ``first`` this is) into ``near``: each block is split into
+        same-label and other-label candidates by a label-code mask, then
+        merged into its rows and, through its transpose, into the held
+        examples it enters (strictly below their k-th).  Returns the
         positions whose lists may have changed: the new examples and the
-        columns entered."""
+        held ones entered."""
         k = self.config.k
         changed = [np.arange(n_old, len(bag))]
-        for rows, cols, sq, skip in _new_pairs(bag, n_old, first=first):
+        for rows, cols, sq in _new_pairs(bag, n_old, first):
             # (rows, side, cols): the same-label, then the other-label candidates
             side = (codes[rows, None] == codes[None, cols])[:, None, :] == np.array([[True], [False]])
             cand = np.where(side, sq[:, None, :], np.inf)
-            near[rows] = _merge_smallest(near[rows], [cand], k)
-            lo, tail = cols.start + skip, cand[:, :, skip:]
-            enter = (tail < near[lo: cols.stop, :, -1].T).any(axis=(0, 1)).nonzero()[0]
-            at = lo + enter
-            near[at] = _merge_smallest(near[at], [tail[:, :, enter].transpose(2, 1, 0)], k)
-            changed.append(at)
+            near[rows] = _merge_smallest(near[rows], cand, k)
+            held = cand[:, :, :n_old]
+            enter = (held < near[:n_old, :, -1].T).any(axis=(0, 1)).nonzero()[0]
+            near[enter] = _merge_smallest(near[enter], held[:, :, enter].transpose(2, 1, 0), k)
+            changed.append(enter)
         return np.concatenate(changed)
-
-    def _merge_by_label(self, near, codes, held, groups, bag, n_old) -> None:
-        """Merge the distances of every new example into ``near`` in label
-        order: the held examples by label, then the new ones by label, so
-        that every block's rows share a label and its columns of that label
-        are one run.  A fit from nothing takes symmetric tiles."""
-        k = self.config.k
-        order = np.concatenate([*held.values(), n_old + np.argsort(codes[n_old:], kind="stable")])
-        old_sizes = np.array([len(held.get(code, ())) for code in groups], dtype=int)
-        new_ends = n_old + np.cumsum(np.bincount(codes[n_old:], minlength=len(groups)))
-        lists = near[order]
-        for rows, cols, sq, skip in _new_pairs(bag, n_old, order, new_ends):
-            code = np.searchsorted(new_ends, rows.start, side="right")
-            if cols.stop <= n_old:  # the held examples
-                end = old_sizes[: code + 1].sum()
-                same = slice(end - old_sizes[code], end)
-            else:  # the new examples from the block's first row on
-                same = slice(0, new_ends[code] - cols.start)
-            lists[rows, 0] = _merge_smallest(lists[rows, 0], [sq[:, same]], k)
-            lists[rows, 1] = _merge_smallest(lists[rows, 1], [sq[:, : same.start], sq[:, same.stop:]], k)
-            # through the transpose, into the columns that are not the block's rows
-            for side, lo, hi in ((1, 0, same.start), (0, same.start, same.stop), (1, same.stop, sq.shape[1])):
-                lo = max(lo, skip)
-                into = slice(cols.start + lo, cols.start + hi)
-                lists[into, side] = _merge_smallest(lists[into, side], [sq[:, lo:hi].T], k)
-        near[order] = lists
 
     def score(self, x: np.ndarray, label_space: Sequence[Label]) -> np.ndarray:
         return self.score_matrix(np.asarray(x, dtype=float)[None, :], label_space)[0]
@@ -802,11 +755,27 @@ def knn_regression_coeffs(
         raise ValueError(f"need k={k} neighbours, only {available} available")
     if is_training_bag and len(target) != len(training):
         raise ValueError("is_training_bag requires the target to be the training bag itself")
-    sq = _sq_dists_to(target.x, training.feature_rows)
+    knn = _Neighbours(training.feature_rows)
     if is_training_bag:
-        np.fill_diagonal(sq, np.inf)
-    means = _label_means(np.asarray(training.y, dtype=float), _k_nearest(k, sq))
+        pick = _nearest_others(knn, target.x, k)[1]
+    else:
+        pick = knn.smallest(target.x, k, index=True)[1][:, 0]
+    means = _label_means(np.asarray(training.y, dtype=float), pick)
     return np.asarray(target.y, dtype=float) - means, np.zeros(len(target))
+
+
+def _nearest_others(knn: _Neighbours, X: np.ndarray, k: int) -> tuple:
+    """``(near, idx)``, shape (rows, k): the k nearest other examples of
+    each example of the bag of ``knn`` (``X`` holds the bag's rows), their
+    squared distances and columns ordered by (distance, column), as a stable
+    ``argsort`` orders them.  The query takes k + 1 and drops the row's own
+    column, or the (k+1)-th when the row is not among them (k + 1 lower
+    columns at distance 0).  The bag holds more than k examples."""
+    vals, idx, _ = knn.smallest(X, k + 1, index=True)
+    own = idx[:, 0] == np.arange(len(X))[:, None]
+    own[:, -1] |= ~own.any(axis=1)
+    keep = ~own
+    return vals[:, 0][keep].reshape(len(X), k), idx[:, 0][keep].reshape(len(X), k)
 
 
 def knn_regression_coeffs_n(
@@ -834,13 +803,15 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
 
     ``extend`` keeps, for each example of the bag it fits, its coefficient
     and its k nearest other examples, squared distances and indices ordered
-    by (distance, index).  The next ``extend``, when its bag continues that
-    one, computes only the new examples' distances.  A held example that a
-    new one comes strictly closer to than its k-th takes it into its list
-    (the new, larger index goes after any tie, as the stable order puts it)
-    and is averaged again; a tie changes nothing.  ``coeffs_n`` remembers
-    its distance row and k nearest, and a one-row step that absorbs that
-    row takes both instead of computing them again.
+    by (distance, index).  A fit from nothing takes them from one query of
+    the bag against itself, the one ``coeffs(bag, True)`` makes
+    (:func:`_nearest_others`).  The next ``extend``, when its bag continues
+    that one, computes only the new examples' distances (:func:`_new_pairs`).
+    A held example that a new one comes strictly closer to than its k-th
+    takes it into its list (the new, larger index goes after any tie, as the
+    stable order puts it) and is averaged again; a tie changes nothing.
+    ``coeffs_n`` remembers its distance row and k nearest, and a one-row
+    step that absorbs that row takes both instead of computing them again.
     """
 
     def __init__(self, config: KnnConfig | None = None):
@@ -866,33 +837,28 @@ class KnnRegressionProvider(RegressionCoefficientProvider):
         empty = (np.empty(0), np.empty(0), np.empty((0, k)), np.empty((0, k), dtype=int))
         n_old, (a, labels, near, idx) = _resume(self._bag, self._fit, bag, empty)
         labels[n_old:] = bag.y[n_old:]
-        query = _shared_row(self._query, self._bag, bag, n_old)
-        # a lone new example meets only the held ones: its own column, the
-        # last, at infinity, would sort after all of them
-        width = n if n - n_old > 1 else n_old
-        changed = [np.arange(n_old, n)]
-        for chunk in _row_chunks(n - n_old, n):
-            new = np.arange(n_old, n)[chunk]
-            if query is not None:  # the one new row, as coeffs_n saw it
-                sq, pick = query[2], query[3]
-            else:
-                sq = _sq_dists_to(bag.x[new], bag.feature_rows[:, :width])
-                if width == n:
-                    sq[np.arange(len(new)), new] = np.inf
-                pick = _k_nearest(k, sq)
-            hit = (sq[:, :n_old] < near[:n_old, -1]).any(axis=0).nonzero()[0]
-            if len(hit):
-                # the held lists before the new, larger indices: a stable
-                # sort keeps the (distance, index) order
-                cand = np.concatenate([near[hit], sq[:, hit].T], axis=1)
-                ids = np.concatenate([idx[hit], new[None, :].repeat(len(hit), axis=0)], axis=1)
-                at = np.arange(len(hit))[:, None]
-                kept = _k_nearest(k, cand)
-                near[hit], idx[hit] = cand[at, kept], ids[at, kept]
-                changed.append(hit)
-            idx[new] = pick
-            near[new] = sq[np.arange(len(new))[:, None], pick]
-        changed = np.concatenate(changed)
+        if n_old:
+            changed = [np.arange(n_old, n)]
+            query = _shared_row(self._query, self._bag, bag, n_old)
+            for rows, _, sq in _new_pairs(bag, n_old, None if query is None else query[2]):
+                new = np.arange(rows.start, rows.stop)
+                pick = _k_nearest(k, sq) if query is None else query[3]  # as coeffs_n saw it
+                hit = (sq[:, :n_old] < near[:n_old, -1]).any(axis=0).nonzero()[0]
+                if len(hit):
+                    # the held lists before the new, larger indices: a stable
+                    # sort keeps the (distance, index) order
+                    cand = np.concatenate([near[hit], sq[:, hit].T], axis=1)
+                    ids = np.concatenate([idx[hit], new[None, :].repeat(len(hit), axis=0)], axis=1)
+                    at = np.arange(len(hit))[:, None]
+                    kept = _k_nearest(k, cand)
+                    near[hit], idx[hit] = cand[at, kept], ids[at, kept]
+                    changed.append(hit)
+                idx[new] = pick
+                near[new] = sq[np.arange(len(new))[:, None], pick]
+            changed = np.concatenate(changed)
+        else:  # one query of the bag against itself
+            near, idx = _nearest_others(_Neighbours(bag.feature_rows), bag.x, k)
+            changed = slice(None)
         a[changed] = labels[changed] - _label_means(labels, idx[changed])
         self._bag, self._fit, self._query = bag, (a, labels, near, idx), None
         return a.copy(), np.zeros(n)

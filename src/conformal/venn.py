@@ -83,11 +83,13 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     neighbour.  Distance ties break by ascending bag index.  Degenerate bags
     (empty, or a singleton equal to x) fall back to the hypothesis label so
     the mapping stays total.  ``extend`` keeps each example's nearest index
-    and squared distance, and merges the distances of each new example into
-    them (``ncm._new_pairs``), so a step that continues the fitted bag
-    computes only the new examples' distances, and a fit from nothing each
-    distance once.  A step rewrites only the categories of the examples
-    whose nearest index changed and of the new ones.  A one-row
+    and squared distance.  A fit from nothing takes them from one query of
+    the bag against itself, the one ``categories`` makes on the bag
+    (:func:`_nearest`).  A step that continues the fitted bag computes only
+    the new examples' distances (``ncm._new_pairs``), merges them into the
+    new examples' entries and, through the transpose, into the held ones
+    they come strictly closer to, and rewrites only the categories of the
+    examples whose nearest index changed and of the new ones.  A one-row
     ``categories`` query remembers its distance row, and a one-row step
     that absorbs that row merges it instead of computing it again.
     """
@@ -114,24 +116,14 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     def categories(
         self, X: np.ndarray, hypotheses: Sequence[Sequence[Label]], contains_x: np.ndarray
     ) -> list[list[Hashable]]:
-        """One nearest-neighbour search per row, shared by its hypotheses:
-        the row's two nearest bag observations by (distance, index), or
-        only the nearest when no row has ``contains_x``.  A row with
-        ``contains_x`` skips the first when it is at distance 0 (its own
-        first zero-distance occurrence); when that leaves no bag
-        observation at a finite distance, the hypothesis label stands."""
+        """One nearest-neighbour search per row (:func:`_nearest`), shared
+        by its hypotheses; where it leaves no bag observation, the
+        hypothesis label stands."""
         bag = require_trained(self._bag, "taxonomy")
         X = check_observations(X, bag.n_features)
         if len(bag) == 0:
             return [list(ys) for ys in hypotheses]
-        contains = np.asarray(contains_x, dtype=bool)
-        own = bool(contains.any())
-        near, idx, row = self._knn.smallest(X, 1 + own, index=True)
-        nearest = idx[:, 0, 0]
-        if own:
-            at = np.arange(len(X)), 0, (contains & (near[:, 0, 0] == 0)).astype(int)
-            nearest = idx[at]
-            nearest[contains & (near[at] == np.inf)] = -1
+        nearest, _, row = _nearest(self._knn, X, np.asarray(contains_x, dtype=bool))
         if row is not None:
             self._query = _remember(bag, X, row)
         return [
@@ -140,28 +132,32 @@ class NearestNeighborTaxonomy(VennTaxonomy):
 
     def extend(self, bag: Bag) -> list[Hashable]:
         n_old, (nearest, dist) = _resume(self._bag, self._fit, bag, (np.empty(0, int), np.empty(0)))
-        query = _shared_row(self._query, self._bag, bag, n_old)
-        nearest[n_old:], dist[n_old:] = -1, np.inf
-        new = np.arange(n_old, len(bag))
+        knn, new = _Neighbours(bag.feature_rows), np.arange(n_old, len(bag))
         redo = [new]  # the new examples and the held ones whose nearest index changes
-        for rows, cols, sq, skip in _new_pairs(bag, n_old, first=None if query is None else query[2]):
-            _merge_nearest(nearest, dist, rows, cols, sq)
-            redo.append(_merge_nearest(nearest, dist, slice(cols.start + skip, cols.stop), rows, sq[:, skip:].T))
-        # the merge skips each example itself, ``categories`` its first
-        # zero-distance occurrence: they differ for a new example r with a
-        # zero-distance one at a lower index.  Then j = nearest[r] is the
-        # first occurrence of r's duplicates, and ``categories`` skips j and
-        # keeps the lowest other index at distance 0, which the merge gave j.
-        # (The held examples already hold what ``categories`` gave them, and
-        # a later example never comes strictly closer than distance 0.)
-        dup = new[(dist[n_old:] == 0) & (nearest[n_old:] < new)]
-        nearest[dup] = nearest[nearest[dup]]
+        if n_old:
+            query = _shared_row(self._query, self._bag, bag, n_old)
+            nearest[n_old:], dist[n_old:] = -1, np.inf
+            for rows, cols, sq in _new_pairs(bag, n_old, None if query is None else query[2]):
+                _merge_nearest(nearest, dist, rows, cols, sq)
+                redo.append(_merge_nearest(nearest, dist, slice(0, n_old), rows, sq[:, :n_old].T))
+            # the merge skips each example itself, ``categories`` its first
+            # zero-distance occurrence: they differ for a new example r with
+            # a zero-distance one at a lower index.  Then j = nearest[r] is
+            # the first occurrence of r's duplicates, and ``categories``
+            # skips j and keeps the lowest other index at distance 0, which
+            # the merge gave j.  (The held examples already hold what
+            # ``categories`` gave them, and a later example never comes
+            # strictly closer than distance 0.)
+            dup = new[(dist[n_old:] == 0) & (nearest[n_old:] < new)]
+            nearest[dup] = nearest[nearest[dup]]
+        else:
+            nearest, dist, _ = _nearest(knn, bag.x, np.ones(len(bag), dtype=bool))
         categories = self._categories[:n_old] + [None] * len(new)
         redo = list(dict.fromkeys(np.concatenate(redo).tolist()))  # each position once
         for i, j in zip(redo, nearest[redo].tolist()):
             categories[i] = bag.y[i] if j < 0 else bag.y[j]
         self._bag, self._fit, self._categories, self._query = bag, (nearest, dist), categories, None
-        self._knn = _Neighbours(bag.feature_rows)
+        self._knn = knn
         out = list(categories)
         self._returned = (self._returned[1], out, redo)
         return out
@@ -169,6 +165,24 @@ class NearestNeighborTaxonomy(VennTaxonomy):
     def _rewritten(self, before: list, after: list):
         last, out, redo = self._returned
         return redo if before is last and after is out else None
+
+
+def _nearest(knn: _Neighbours, X: np.ndarray, contains: np.ndarray) -> tuple:
+    """``(nearest, dist, row)``: each row's nearest bag column by (distance,
+    column) and its squared distance, from the row's two nearest bag
+    observations (only the nearest when no row has ``contains``).  A row
+    with ``contains`` skips the first when it is at distance 0 (its own
+    first zero-distance occurrence); when that leaves no bag observation at
+    a finite distance, its column is -1.  ``row`` is
+    :meth:`_Neighbours.smallest`'s."""
+    own = bool(contains.any())
+    near, idx, row = knn.smallest(X, 1 + own, index=True)
+    nearest, dist = idx[:, 0, 0], near[:, 0, 0]
+    if own:
+        at = np.arange(len(X)), 0, (contains & (dist == 0)).astype(int)
+        nearest, dist = idx[at], near[at]
+        nearest[contains & (dist == np.inf)] = -1
+    return nearest, dist, row
 
 
 def _merge_nearest(nearest: np.ndarray, dist: np.ndarray, rows: slice, cols: slice, sq: np.ndarray) -> np.ndarray:

@@ -214,13 +214,12 @@ def test_property_incremental_scores_equal_retraining(seed, k, n, chunks):
 def test_property_fits_and_extends_equal_knn_scores(seed, k, n, chunks, block):
     # a fit from nothing, extends by chunks and knn_scores give the same
     # bits, up to k = 8 (n >= 27 leaves every label of a three-label grid
-    # at least 9 rows); a small block budget makes many tiles and row chunks
-    # and sends the steps above it to the label-order merge
+    # at least 9 rows); a small block budget makes many row chunks, and a
+    # chunk larger than the bag held sends the extend to a fit from nothing
     bag = grid_bag(n, seed)
     stream = grid_stream(bag, sum(chunks), seed + 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ncm, "_BLOCK_ENTRIES", block)
-        patch.setattr(ncm, "_STEP_ENTRIES", block)
         measure = KnnClassifierMeasure(KnnConfig(k=k))
         measure.extend(bag)
         merged, lo = bag, 0
@@ -249,23 +248,42 @@ def spy_on_kernel(monkeypatch):
     return entries
 
 
+def spy_on_queries(monkeypatch):
+    """(query rows, bag rows) of every k-nearest batch query
+    (``ncm._Neighbours.smallest``) from now on; a kNN plug-in's fit from
+    nothing makes one, of the bag against itself, and its steps make none."""
+    calls = []
+
+    def spy(self, X, k, index=False):
+        calls.append((len(X), self.rows.shape[1]))
+        return smallest(self, X, k, index)
+
+    smallest = ncm._Neighbours.smallest
+    monkeypatch.setattr(ncm._Neighbours, "smallest", spy)
+    return calls
+
+
 @pytest.mark.parametrize("block", [4096, ncm._BLOCK_ENTRIES])
-@pytest.mark.parametrize("plug_in", ["measure", "taxonomy"])
-def test_fits_compute_each_distance_once(monkeypatch, block, plug_in):
-    # a fit from nothing passes n(n+1)/2 distances to the kernel, plus the
-    # lower triangles of its tiles (at most one tile); a one-row step then
-    # passes one 1 x n block
-    entries = spy_on_kernel(monkeypatch)
+@pytest.mark.parametrize("plug_in", ["measure", "taxonomy", "provider"])
+def test_fit_from_nothing_makes_one_self_query(monkeypatch, block, plug_in):
+    # a fit from nothing is one query of the bag against itself; a one-row
+    # step then makes no query and passes one 1 x n block to the kernel
     monkeypatch.setattr(ncm, "_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(121)
     n = 300
-    bag = Bag.classification(rng.standard_normal((n + 1, 4)), [LABELS[i % 3] for i in range(n + 1)], LABELS)
-    fit = KnnClassifierMeasure(KnnConfig(k=2)) if plug_in == "measure" else NearestNeighborTaxonomy()
+    x = rng.standard_normal((n + 1, 4))
+    if plug_in == "provider":
+        bag, fit = Bag.regression(x, rng.standard_normal(n + 1)), KnnRegressionProvider(KnnConfig(k=2))
+    else:
+        bag = Bag.classification(x, [LABELS[i % 3] for i in range(n + 1)], LABELS)
+        fit = KnnClassifierMeasure(KnnConfig(k=2)) if plug_in == "measure" else NearestNeighborTaxonomy()
+    queries = spy_on_queries(monkeypatch)
     fit.extend(bag.subset(range(n)))
-    assert n * (n + 1) // 2 <= sum(entries) <= n * (n + 1) // 2 + block
-    entries.clear()
+    assert queries == [(n, n)]
+    queries.clear()
+    entries = spy_on_kernel(monkeypatch)
     fit.extend(bag)
-    assert entries == [n]
+    assert entries == [n] and queries == []
 
 
 @pytest.mark.parametrize("block", [4096, ncm._BLOCK_ENTRIES])
@@ -529,14 +547,70 @@ def test_continuations_equal_fresh_fits(monkeypatch, plug_in, continuation):
         bag = Bag(np.array(merged.x), merged.y, merged.label_space)
     else:
         bag = held
-    entries = spy_on_kernel(monkeypatch)
+    queries = spy_on_queries(monkeypatch)
     got = fit.extend(bag)
-    resumed = sum(entries) < len(bag) * (len(bag) + 1) // 2
+    resumed = queries == []
     assert resumed == (continuation != "branch")
     assert same_fit(got, make().extend(bag))
     # and the next step on top of it still matches a fresh fit
     step = bag.append(data(1, 134))
     assert same_fit(fit.extend(step), make().extend(step))
+
+
+def held_lists(fit):
+    """What a kNN plug-in keeps between steps: the measure's sorted
+    same-label and other-label lists, the provider's k nearest (distance,
+    index), the taxonomy's nearest index and distance."""
+    if isinstance(fit, KnnClassifierMeasure):
+        return fit._fit[:1]
+    return fit._fit[2:] if isinstance(fit, KnnRegressionProvider) else fit._fit
+
+
+def same_arrays(a, b):
+    return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 8),
+    extra=st.integers(0, 12),
+    chunks=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    two_stage=st.booleans(),
+)
+def test_property_fits_from_nothing_hold_what_steps_build(seed, k, extra, chunks, two_stage):
+    # each kNN plug-in's fit from nothing (one query of the bag against
+    # itself) holds, bit for bit, the lists that a chain of steps from a
+    # small prefix builds, on either query path; the next step then equals a
+    # fresh fit.  The prefix leaves every label k + 1 rows; a grid of 25
+    # points makes duplicate rows and distance ties
+    prefix = grid_bag(3 * (k + 1) + extra, seed)
+    stream = grid_stream(grid_bag(60, seed), sum(chunks) + 3, seed + 1)
+    y = np.random.default_rng(seed).integers(-4, 5, len(prefix) + len(stream)) / 2
+    bags, lo = [prefix], 0
+    for size in chunks:
+        size = min(size, len(bags[-1]))  # a step adds no more rows than the bag holds
+        bags.append(bags[-1].append(stream.subset(range(lo, lo + size))))
+        lo += size
+    bags.append(bags[-1].append(stream.subset(range(lo, lo + 3))))
+    plug_ins = (
+        (lambda: KnnClassifierMeasure(KnnConfig(k=k)), lambda b: b),
+        (NearestNeighborTaxonomy, lambda b: b),
+        (lambda: KnnRegressionProvider(KnnConfig(k=k)), lambda b: Bag.regression(b.x, y[: len(b)])),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncm, "_TWO_STAGE_ENTRIES", 0 if two_stage else 1 << 62)
+        for make, data in plug_ins:
+            chained = make()
+            for bag in bags[:-1]:
+                chained.extend(data(bag))
+            fresh = make()
+            fresh.extend(data(bags[-2]))
+            assert same_arrays(held_lists(chained), held_lists(fresh))
+            step, ref = data(bags[-1]), make()
+            assert same_fit(chained.extend(step), ref.extend(step))
+            assert same_fit(fresh.extend(step), ref.extend(step))
+            assert same_arrays(held_lists(chained), held_lists(ref))
 
 
 class TestOverrideOnContinuingBag:
